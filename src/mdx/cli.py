@@ -355,7 +355,7 @@ def cmd_tournament(args) -> tuple[dict, dict, str, int]:
 
 def cmd_matching_set(args) -> tuple[dict, dict, str, int]:
     p, info = _load_profile(args.profile)
-    mask = matching_uncovered_set(p, use_fast_paths=not args.no_fast_paths)
+    mask = matching_uncovered_set(p)
     members = sorted(p.candidates[c] for c in iter_set(mask))
     inputs = {"profile": info}
     result = {"set": members, "empty": not members, "count": len(members)}
@@ -391,7 +391,6 @@ def cmd_verify_conjecture(args) -> tuple[dict, dict, str, int]:
             args.m,
             workers=args.workers,
             budget=args.budget,
-            use_fast_paths=not args.no_fast_paths,
         )
     except ValueError as exc:
         raise CliFailure(EXIT_CODES["parse"], str(exc)) from exc
@@ -510,7 +509,6 @@ def _build_parser() -> argparse.ArgumentParser:
     d.add_argument("--k", type=int, help="with --metric: ratio on the k largest voter costs")
     d.add_argument("--tol", type=float, default=0.0, help="consistency tolerance for --metric")
     d.add_argument("--witness", action="store_true", help="include LP witness metrics")
-    d.add_argument("--workers", type=int, default=1)
 
     pl = add("pairwise-lp", cmd_pairwise_lp, "the worst-case ratio LP for one ordered pair")
     pl.add_argument("profile", help="profile file, or - for stdin")
@@ -526,7 +524,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     ms = add("matching-set", cmd_matching_set, "candidates whose cover graphs all have perfect matchings")
     ms.add_argument("profile", help="profile file, or - for stdin")
-    ms.add_argument("--no-fast-paths", action="store_true")
 
     ws = add("weighted-set", cmd_weighted_set, "the lambda-weighted uncovered set")
     ws.add_argument("profile", help="profile file, or - for stdin")
@@ -537,7 +534,6 @@ def _build_parser() -> argparse.ArgumentParser:
     vc.add_argument("m", type=int)
     vc.add_argument("--workers", type=int, default=1)
     vc.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
-    vc.add_argument("--no-fast-paths", action="store_true")
 
     inst = add("instance", cmd_instance, "emit a named instance (plain mode prints the raw profile)")
     inst.add_argument("name", choices=sorted(INSTANCE_BUILDERS))

@@ -17,7 +17,8 @@ orderings, enumerated as nondecreasing sequences, with the last voter's
 rank swept as a numpy vector.  Canonicality under rotation and a sound
 majority shortcut (if at least half the voters prefer X_i to X_(i+1),
 G(X_i, X_(i+1)) always has a perfect matching) are decided per block;
-only the rare survivors run an exact matching check.
+only the rare survivors run an exact check, with the cover graphs and
+matcher of :mod:`mdx.matching`.
 """
 
 from __future__ import annotations
@@ -143,8 +144,7 @@ def _tables(n: int):
 
     rot[k][r]: rank of ordering r after relabeling every candidate
     c -> (c+k) mod n.  fwd[j][r]: 1 iff ordering r prefers X_j to
-    X_(j+1 mod n).  pmask/qmask[r][c]: bitmask of candidates ranked
-    weakly above / weakly below c by ordering r.
+    X_(j+1 mod n).
     """
     perms = list(permutations(range(n)))
     rank = {s: i for i, s in enumerate(perms)}
@@ -158,59 +158,7 @@ def _tables(n: int):
         pos = {c: i for i, c in enumerate(s)}
         for j in range(n):
             fwd[j, r] = 1 if pos[j] < pos[(j + 1) % n] else 0
-    pmask = [[0] * n for _ in range(size)]
-    qmask = [[0] * n for _ in range(size)]
-    for r, s in enumerate(perms):
-        acc = 0
-        for c in s:
-            acc |= 1 << c
-            pmask[r][c] = acc
-        acc = 0
-        for c in reversed(s):
-            acc |= 1 << c
-            qmask[r][c] = acc
-    return perms, rot, fwd, pmask, qmask
-
-
-def _kuhn_perfect(rows: list[int], m: int) -> bool:
-    """Perfect matching on an m x m bitmask adjacency via augmenting paths."""
-    owner = [-1] * m
-
-    def assign(v: int, seen: list[bool]) -> bool:
-        adj = rows[v]
-        while adj:
-            low = adj & -adj
-            j = low.bit_length() - 1
-            adj ^= low
-            if not seen[j]:
-                seen[j] = True
-                if owner[j] < 0 or assign(owner[j], seen):
-                    owner[j] = v
-                    return True
-        return False
-
-    return all(assign(v, [False] * m) for v in range(m))
-
-
-def _ranks_satisfy(n: int, ranks: Sequence[int]) -> bool:
-    """Exact cycle condition on a profile given as ordering ranks."""
-    _, _, _, pmask, qmask = _tables(n)
-    m = len(ranks)
-    for j in range(n):
-        b = (j + 1) % n
-        pb = [pmask[r][b] for r in ranks]
-        qa = [qmask[r][j] for r in ranks]
-        rows = []
-        for v in range(m):
-            row = 0
-            pv = pb[v]
-            for v2 in range(m):
-                if pv & qa[v2]:
-                    row |= 1 << v2
-            rows.append(row)
-        if _kuhn_perfect(rows, m):
-            return True
-    return False
+    return perms, rot, fwd
 
 
 def _profile_from_ranks(n: int, ranks: Sequence[int]) -> VotingProfile:
@@ -272,7 +220,7 @@ def _scan_shard(
     nonzero entry lies among t, u and the first three nonzero positions
     of the prefix-only difference.
     """
-    perms, rot, fwd, _, _ = _tables(n)
+    perms, rot, fwd = _tables(n)
     size = len(perms)
     nrot = n - 1
     rotk = rot[1:]
@@ -320,7 +268,11 @@ def _scan_shard(
         if need.any():
             for i in np.flatnonzero(need):
                 ranks = (*prefix, int(tails[i]))
-                if not _ranks_satisfy(n, ranks):
+                p = _profile_from_ranks(n, ranks)
+                if not any(
+                    max_matching(build_cover_graph(p, j, (j + 1) % n)).perfect
+                    for j in range(n)
+                ):
                     return int(canon[: i + 1].sum()), ranks
         return checked, None
 

@@ -80,9 +80,9 @@ class Metric:
     labels: point names, the first ``n_candidates`` of which are candidates.
     dist: symmetric nonnegative float matrix with zero diagonal.  The
     triangle inequality is validated at construction up to
-    TRIANGLE_CHECK_LIMIT points (beyond that, call :meth:`triangle_violation`
-    explicitly; the line-embedding instance builders are safe by
-    construction).
+    TRIANGLE_CHECK_LIMIT points (beyond that, call :meth:`check_triangles`
+    explicitly, as :func:`parse_metric` does; the line-embedding instance
+    builders are safe by construction).
     """
 
     labels: tuple[str, ...]
@@ -108,13 +108,7 @@ class Metric:
         arr.setflags(write=False)
         object.__setattr__(self, "dist", arr)
         if self.n_points <= TRIANGLE_CHECK_LIMIT:
-            bad = self.triangle_violation(TRIANGLE_TOL)
-            if bad is not None:
-                i, j, k = bad
-                raise ValueError(
-                    f"triangle inequality fails: d({self.labels[i]},{self.labels[j]})"
-                    f" > d(.,{self.labels[k]}) sum"
-                )
+            self.check_triangles()
 
     @property
     def n_points(self) -> int:
@@ -139,14 +133,25 @@ class Metric:
         d = self.dist
         worst = None
         worst_gap = tol
+        gap = np.empty_like(d)
         for k in range(self.n_points):
-            detour = d[:, k][:, None] + d[k, :][None, :]
-            gap = d - detour
+            np.add.outer(d[:, k], d[k, :], out=gap)
+            np.subtract(d, gap, out=gap)
             ij = np.unravel_index(np.argmax(gap), gap.shape)
             if gap[ij] > worst_gap:
                 worst_gap = gap[ij]
                 worst = (int(ij[0]), int(ij[1]), k)
         return worst
+
+    def check_triangles(self) -> None:
+        """Raise ValueError naming the worst triangle-inequality violation."""
+        bad = self.triangle_violation(TRIANGLE_TOL)
+        if bad is not None:
+            i, j, k = bad
+            raise ValueError(
+                f"triangle inequality fails: d({self.labels[i]},{self.labels[j]})"
+                f" > d(.,{self.labels[k]}) sum"
+            )
 
 
 @dataclass(frozen=True)
@@ -207,9 +212,12 @@ def parse_metric(text: str, n_candidates: int | None = None) -> Metric:
         voterish = [lab.startswith("v") and lab[1:].isdigit() for lab in labels]
         n_candidates = voterish.index(True) if any(voterish) else size
     try:
-        return Metric(labels, n_candidates, dist)
+        metric = Metric(labels, n_candidates, dist)
+        if metric.n_points > TRIANGLE_CHECK_LIMIT:
+            metric.check_triangles()
     except ValueError as exc:
         raise MetricParseError(str(exc), line_nos[0]) from None
+    return metric
 
 
 def serialize_metric(metric: Metric) -> str:

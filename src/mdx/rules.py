@@ -194,18 +194,16 @@ def weighted_uncovered_winner(g: WeightedTournamentGraph) -> RuleOutcome:
 def matching_uncovered_winner(p: VotingProfile) -> RuleOutcome:
     """Alphabetically smallest member of the matching uncovered set.
 
-    Falls back to the alphabetically smallest candidate overall when the
-    set is empty (no such profile is known; see the conjecture module).
+    The set is never empty: Gkatzelis, Halpern & Shah ("Resolving the
+    Optimal Metric Distortion Conjecture", FOCS 2020) show that every
+    profile has a candidate A whose G(A, B) has a perfect matching for
+    every B.
     """
     members = matching_uncovered_set(p)
-    if members:
-        winner = _alphabetical_min(p.candidates, iter_set(members))
-    else:
-        winner = _alphabetical_min(p.candidates, range(p.n))
-    support = {
-        "set": [p.candidates[c] for c in iter_set(members)],
-        "empty": not members,
-    }
+    if not members:
+        raise AssertionError("matching uncovered set is provably nonempty")
+    winner = _alphabetical_min(p.candidates, iter_set(members))
+    support = {"set": [p.candidates[c] for c in iter_set(members)], "empty": False}
     return RuleOutcome(winner, "matching-uncovered", support)
 
 

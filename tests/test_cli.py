@@ -167,6 +167,29 @@ class TestDistortion:
         code, _, err = run(capsys, "distortion", path, "Z")
         assert code == 2 and "Z" in err
 
+    @pytest.mark.parametrize("d_ab, code", [(3, 0), (100, 2)])
+    def test_metric_above_construction_check_limit(self, capsys, profile_file, d_ab, code):
+        # 2 candidates + 48 voters = 50 points, past the size up to which
+        # Metric itself checks triangles; d(A,v) + d(v,B) = 3 for every voter.
+        m = 48
+        labels = ["A", "B"] + [f"v{i}" for i in range(1, m + 1)]
+        dist = {("A", "B"): d_ab}
+        for v in labels[2:]:
+            dist["A", v] = 2
+            dist["B", v] = 1
+        rows = [",".join([""] + labels)]
+        for x in labels:
+            cells = [dist.get((x, y), dist.get((y, x), 0)) for y in labels]
+            rows.append(",".join([x] + [str(c) for c in cells]))
+        metric_path = profile_file("\n".join(rows) + "\n", "big.metric")
+        path = profile_file(f"{m}: B > A\n")
+        got, out, err = run(capsys, "distortion", path, "A", "--metric", metric_path)
+        assert got == code
+        if code == 0:
+            assert json.loads(out)["result"]["value"] == 2.0
+        else:
+            assert "triangle" in err
+
 
 class TestPairwiseLp:
     def test_bounded_value_and_witness(self, capsys, profile_file):
@@ -368,6 +391,18 @@ class TestArgumentErrors:
     def test_unknown_rule_rejected_by_parser(self, capsys):
         assert main(["winner", "x.profile", "--rule", "borda"]) == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["distortion", "x.profile", "A", "--workers", "1"],
+            ["matching-set", "x.profile", "--no-fast-paths"],
+            ["verify-conjecture", "3", "2", "--no-fast-paths"],
+        ],
+    )
+    def test_removed_flags_rejected_by_parser(self, capsys, argv):
+        assert main(argv) == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_unreadable_file(self, capsys):
         code, _, err = run(capsys, "winner", "/nonexistent/p.txt", "--rule", "copeland")

@@ -14,7 +14,7 @@ from mdx.conjecture import (
     verify_conjecture,
 )
 from mdx.instances import counterexample_relax1
-from mdx.matching import build_cover_graph, max_matching
+from mdx.matching import MatchingResult, build_cover_graph, max_matching
 from mdx.profile import VotingProfile, pairwise_counts, parse_profile
 
 THREE_CYCLE = "A > B > C\nB > C > A\nC > A > B\n"
@@ -201,3 +201,13 @@ class TestVerifier:
         assert verdict.status == "budget-exceeded"
         assert verdict.profiles_checked == 0
         assert verdict.counterexample is None
+
+    def test_counterexample_is_the_first_failing_profile(self, monkeypatch):
+        # With a matcher that never finds a perfect matching, the first
+        # canonical profile fails, provided the exact check calls that matcher.
+        never = MatchingResult(0, (), False)
+        monkeypatch.setattr("mdx.conjecture.max_matching", lambda g: never)
+        verdict = verify_conjecture(3, 2, use_fast_paths=False)
+        assert verdict.status == "counterexample"
+        assert verdict.profiles_checked == 1
+        assert verdict.counterexample == next(enumerate_profiles(3, 2))

@@ -301,6 +301,19 @@ class TestMatchingUncoveredSet:
         inst = three_cycle()
         assert mask_names(inst.profile, matching_uncovered_set(inst.profile)) == ("A", "B", "C")
 
+    def test_pairwise_counts_tallied_once(self, monkeypatch):
+        calls = []
+
+        def counting(p):
+            calls.append(p)
+            return pairwise_counts(p)
+
+        monkeypatch.setattr("mdx.matching.pairwise_counts", counting)
+        monkeypatch.setattr("mdx.tournament.pairwise_counts", counting)
+        p = counterexample_relax2().profile
+        assert set(mask_names(p, matching_uncovered_set(p))) == {"C", "D"}
+        assert len(calls) == 1
+
     @settings(max_examples=50, deadline=None)
     @given(profiles(max_n=4, max_m=5, min_n=2))
     def test_fast_paths_change_nothing(self, p):

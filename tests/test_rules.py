@@ -198,6 +198,11 @@ class TestMatchingRule:
         assert out.support == {"set": ["C", "D"], "empty": False}
         assert p.candidates[out.winner] == "C"
 
+    def test_empty_set_is_an_internal_error(self, monkeypatch):
+        monkeypatch.setattr("mdx.rules.matching_uncovered_set", lambda p: 0)
+        with pytest.raises(AssertionError, match="provably nonempty"):
+            matching_uncovered_winner(parse_profile(THREE_CYCLE))
+
 
 class TestRankedPairs:
     def test_unanimous(self):
