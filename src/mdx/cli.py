@@ -1,8 +1,8 @@
 """Command-line front end emitting JSON reports.
 
-Every subcommand prints one Report object to stdout: the echoed command
-name, a digest of the inputs it read, the result payload, and the library
-version.  Exact rationals appear as ``{"num": p, "den": q, "decimal": x}``;
+Every subcommand prints one Report object to stdout as one line of compact
+JSON: the echoed command name, a digest of the inputs it read, the result
+payload, and the library version.  Exact rationals appear as ``{"num": p, "den": q, "decimal": x}``;
 ``--plain`` switches to a short human-readable summary instead.
 
 Exit codes:
@@ -27,6 +27,7 @@ import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from typing import Any
 
 from mdx import __version__
@@ -99,7 +100,7 @@ class Report:
             "result": self.result,
             "version": self.version,
         }
-        return json.dumps(payload, indent=2)
+        return json.dumps(payload, separators=(",", ":"))
 
 
 def _rational(fr: Fraction) -> dict:
@@ -476,7 +477,10 @@ def cmd_instance(args) -> tuple[dict, dict, str, int]:
 # argument parsing
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parse_args leaves it
+    unchanged, and building it costs milliseconds per call."""
     parser = argparse.ArgumentParser(
         prog="mdx",
         description="Metric-distortion toolkit: voting rules, worst-case LPs, "

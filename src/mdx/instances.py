@@ -52,22 +52,21 @@ def _line_metric(candidates: tuple[str, ...], coords: Sequence[float]) -> Metric
     return Metric(labels, len(candidates), dist)
 
 
-def _orderings_from_names(candidates: tuple[str, ...], rows: list[tuple[str, int]]):
-    """Expand (ordering-string, count) rows like ("C>B>A", 3) to index tuples."""
+def _profile_from_rows(candidates: tuple[str, ...], rows: list[tuple[str, int]]) -> VotingProfile:
+    """A profile from (ordering-string, count) rows like ("C>B>A", 3), in row
+    order; rows with count 0 add no voters."""
     index = {name: i for i, name in enumerate(candidates)}
-    orderings = []
-    for text, count in rows:
-        order = tuple(index[name.strip()] for name in text.split(">"))
-        orderings.extend([order] * count)
-    return tuple(orderings)
+    runs = [
+        (tuple(index[name.strip()] for name in text.split(">")), count)
+        for text, count in rows
+        if count
+    ]
+    return VotingProfile(candidates, runs=runs)
 
 
 def three_cycle() -> NamedInstance:
     """Three voters whose orderings rotate A > B > C; no Condorcet winner."""
-    p = VotingProfile(
-        ("A", "B", "C"),
-        _orderings_from_names(("A", "B", "C"), [("A>B>C", 1), ("B>C>A", 1), ("C>A>B", 1)]),
-    )
+    p = _profile_from_rows(("A", "B", "C"), [("A>B>C", 1), ("B>C>A", 1), ("C>A>B", 1)])
     return NamedInstance(
         "three-cycle",
         p,
@@ -120,9 +119,7 @@ def lower_left(p_num: int, p_den: int, scale_m: int) -> NamedInstance:
     k1 = _round_half_up(p_num, p_den, scale_m)
     k2 = scale_m - k1
     candidates = ("A", "B")
-    p = VotingProfile(
-        candidates, _orderings_from_names(candidates, [("A>B", k1), ("B>A", k2)])
-    )
+    p = _profile_from_rows(candidates, [("A>B", k1), ("B>A", k2)])
     metric = _line_metric(candidates, [0.0, 2.0] + [1.0] * k1 + [2.0] * k2)
     return NamedInstance(
         "lower-left",
@@ -148,10 +145,7 @@ def lower_right(lam_num: int, lam_den: int, scale_m: int) -> NamedInstance:
     k2 = _round_half_up(lam_num, lam_den, scale_m)
     k1 = scale_m - k2
     candidates = ("A", "B", "C")
-    p = VotingProfile(
-        candidates,
-        _orderings_from_names(candidates, [("B>A>C", k1), ("C>B>A", k2)]),
-    )
+    p = _profile_from_rows(candidates, [("B>A>C", k1), ("C>B>A", k2)])
     metric = _line_metric(candidates, [0.0, 2.0, 4.0] + [2.0] * k1 + [3.0] * k2)
     return NamedInstance(
         "lower-right",
@@ -189,10 +183,7 @@ def fairness_table(lam_num: int, lam_den: int, scale_m: int) -> NamedInstance:
     k1 = _round_half_up(lam_num, lam_den, scale_m)
     k2 = scale_m - k1
     candidates = ("A", "B", "C")
-    p = VotingProfile(
-        candidates,
-        _orderings_from_names(candidates, [("C>B>A", k1), ("B>A>C", k2)]),
-    )
+    p = _profile_from_rows(candidates, [("C>B>A", k1), ("B>A>C", k2)])
     types = [3] * k1 + [4] * k2
     size = 3 + scale_m
     dist = np.zeros((size, size))
@@ -230,7 +221,7 @@ def counterexample_relax2() -> NamedInstance:
         ("C>A>D>B", 10),
         ("C>D>A>B", 5),
     ]
-    p = VotingProfile(candidates, _orderings_from_names(candidates, rows))
+    p = _profile_from_rows(candidates, rows)
     return NamedInstance(
         "counterexample-relax2",
         p,
@@ -249,7 +240,7 @@ def counterexample_relax1() -> NamedInstance:
     """
     candidates = ("A", "B", "C", "D")
     rows = [("D>C>B>A", 2), ("B>A>D>C", 2), ("C>A>D>B", 1)]
-    p = VotingProfile(candidates, _orderings_from_names(candidates, rows))
+    p = _profile_from_rows(candidates, rows)
     return NamedInstance(
         "counterexample-relax1",
         p,

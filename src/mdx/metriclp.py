@@ -203,11 +203,10 @@ def parse_metric(text: str, n_candidates: int | None = None) -> Metric:
             raise MetricParseError(f"expected label plus {size} entries", line_no)
         if cells[0] != labels[r]:
             raise MetricParseError(f"row label {cells[0]!r} does not match header {labels[r]!r}", line_no)
-        for c, cell in enumerate(cells[1:]):
-            try:
-                dist[r, c] = float(Fraction(cell))
-            except (ValueError, ZeroDivisionError):
-                raise MetricParseError("entries must be rationals p/q or decimals", line_no) from None
+        try:
+            dist[r] = [_parse_cell(cell) for cell in cells[1:]]
+        except (ValueError, ZeroDivisionError, OverflowError):
+            raise MetricParseError("entries must be finite rationals p/q or decimals", line_no) from None
     if n_candidates is None:
         voterish = [lab.startswith("v") and lab[1:].isdigit() for lab in labels]
         n_candidates = voterish.index(True) if any(voterish) else size
@@ -218,6 +217,26 @@ def parse_metric(text: str, n_candidates: int | None = None) -> Metric:
     except ValueError as exc:
         raise MetricParseError(str(exc), line_nos[0]) from None
     return metric
+
+
+def _parse_cell(cell: str) -> float:
+    """``float(Fraction(cell))``, reading plain decimals with ``float``.
+
+    On a decimal both round the exact value once, so they agree bit for bit
+    except in the sign of a zero, which only ``Fraction`` gets right.
+    ``float`` also accepts ``inf``, ``nan`` and underscores.  So zeros other
+    than plain ``0``/``0.0``, non-finite values, ``p/q`` and underscore cells
+    and anything ``float`` rejects go through ``Fraction``, which raises
+    where it always did.
+    """
+    if "/" not in cell and "_" not in cell:
+        try:
+            value = float(cell)
+        except ValueError:
+            value = math.nan
+        if math.isfinite(value) and (value or not cell.strip("0.")):
+            return value
+    return float(Fraction(cell))
 
 
 def serialize_metric(metric: Metric) -> str:

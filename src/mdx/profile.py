@@ -10,13 +10,19 @@ candidate set.  The text format is one voter per line::
 An optional ``k:`` prefix repeats the ordering for k voters.  Every line must
 rank every candidate exactly once; ties are not representable.
 
+A profile is stored as runs of identical ballots in voter order, so parsing
+and tallying cost per distinct line, not per voter; ``orderings`` expands
+the runs to one tuple per voter on first use.
+
 Candidate subsets are passed around as integer bitmasks over candidate
 indices (bit i set means candidate i is in the set).
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator
 
 __all__ = [
@@ -48,41 +54,74 @@ class ProfileParseError(ValueError):
         self.line = line
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class VotingProfile:
     """An immutable preference profile.
 
     candidates: distinct candidate names; index in this tuple is the
         candidate's index everywhere else.
-    orderings: one tuple per voter, candidate indices from most to least
-        preferred, each a permutation of range(n).
+    runs: ``(ordering, count)`` pairs in voter order, adjacent equal
+        orderings merged; an ordering lists candidate indices from most to
+        least preferred and is a permutation of range(n).
+
+    Built from one ordering per voter, ``VotingProfile(candidates,
+    orderings)``, or from runs, ``VotingProfile(candidates, runs=...)``.
+    Merging makes two profiles equal exactly when their voter sequences are.
     """
 
     candidates: tuple[str, ...]
-    orderings: tuple[tuple[int, ...], ...]
+    runs: tuple[tuple[tuple[int, ...], int], ...]
 
-    def __post_init__(self):
-        if not self.candidates:
+    def __init__(
+        self,
+        candidates: Iterable[str],
+        orderings: Iterable[tuple[int, ...]] | None = None,
+        *,
+        runs: Iterable[tuple[tuple[int, ...], int]] | None = None,
+    ):
+        if (orderings is None) == (runs is None):
+            raise TypeError("give exactly one of orderings and runs")
+        if runs is None:
+            runs = ((order, 1) for order in orderings)
+        candidates = tuple(candidates)
+        if not candidates:
             raise ValueError("profile needs at least one candidate")
-        if len(set(self.candidates)) != len(self.candidates):
+        if len(set(candidates)) != len(candidates):
             raise ValueError("candidate names must be distinct")
-        for name in self.candidates:
+        for name in candidates:
             if not name or any(ch.isspace() or ch in _FORBIDDEN_IN_NAMES for ch in name):
                 raise ValueError(f"invalid candidate name {name!r}")
-        if not self.orderings:
+        ref = tuple(range(len(candidates)))
+        merged: list[list] = []
+        first = 0  # index of the run's first voter, for error messages
+        for order, count in runs:
+            order = tuple(order)
+            if not isinstance(count, int) or count < 1:
+                raise ValueError(f"voter {first} count {count!r} is not a positive integer")
+            if merged and merged[-1][0] == order:
+                merged[-1][1] += count
+            elif tuple(sorted(order)) != ref:
+                raise ValueError(f"voter {first} ordering is not a permutation of all candidates")
+            else:
+                merged.append([order, count])
+            first += count
+        if not merged:
             raise ValueError("profile needs at least one voter")
-        ref = tuple(range(len(self.candidates)))
-        for v, order in enumerate(self.orderings):
-            if tuple(sorted(order)) != ref:
-                raise ValueError(f"voter {v} ordering is not a permutation of all candidates")
+        object.__setattr__(self, "candidates", candidates)
+        object.__setattr__(self, "runs", tuple((order, count) for order, count in merged))
+
+    @cached_property
+    def orderings(self) -> tuple[tuple[int, ...], ...]:
+        """One ordering per voter, expanded from the runs on first use."""
+        return tuple(order for order, count in self.runs for _ in range(count))
 
     @property
     def n(self) -> int:
         return len(self.candidates)
 
-    @property
+    @cached_property
     def m(self) -> int:
-        return len(self.orderings)
+        return sum(count for _, count in self.runs)
 
     def index(self, x: int | str) -> int:
         """Resolve a candidate given by index or by name."""
@@ -116,7 +155,7 @@ def parse_profile(text: str) -> VotingProfile:
     """Parse profile text.  Raises ProfileParseError with a line number."""
     candidates: tuple[str, ...] | None = None
     index: dict[str, int] = {}
-    orderings: list[tuple[int, ...]] = []
+    runs: list[tuple[tuple[int, ...], int]] = []
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -148,28 +187,36 @@ def parse_profile(text: str) -> VotingProfile:
             if len(names) != len(candidates):
                 missing = sorted(set(candidates) - set(names))
                 raise ProfileParseError(f"ordering does not rank candidate {missing[0]!r}", line_no)
-        order = tuple(index[tok] for tok in names)
-        orderings.extend([order] * mult)
+        runs.append((tuple(index[tok] for tok in names), mult))
     if candidates is None:
         raise ProfileParseError("empty profile (no voter lines)", max(1, text.count("\n") + 1))
-    return VotingProfile(candidates, tuple(orderings))
+    return VotingProfile(candidates, runs=runs)
 
 
 def serialize_profile(p: VotingProfile) -> str:
     """Canonical text form: one voter per line, no multiplicities."""
-    lines = [" > ".join(p.candidates[c] for c in order) for order in p.orderings]
+    lines = []
+    for order, count in p.runs:
+        lines += [" > ".join(p.candidates[c] for c in order)] * count
     return "\n".join(lines) + "\n"
 
 
 def pairwise_counts(p: VotingProfile) -> PairwiseMatrix:
-    """Count, for every ordered pair (x, y), the voters ranking x above y."""
+    """Count, for every ordered pair (x, y), the voters ranking x above y.
+
+    Runs are grouped by ordering first, so the cost is one pass over the runs
+    plus n^2 per distinct ordering, whatever the voter count.
+    """
     n = p.n
+    types: Counter[tuple[int, ...]] = Counter()
+    for order, count in p.runs:
+        types[order] += count
     counts = [[0] * n for _ in range(n)]
-    for order in p.orderings:
+    for order, count in types.items():
         for i, x in enumerate(order):
             row = counts[x]
             for y in order[i + 1:]:
-                row[y] += 1
+                row[y] += count
     return PairwiseMatrix(tuple(tuple(row) for row in counts), p.m)
 
 
@@ -178,11 +225,11 @@ def triple_count(p: VotingProfile, x: int | str, y: int | str, z: int | str) -> 
     xi, yi, zi = p.index(x), p.index(y), p.index(z)
     if len({xi, yi, zi}) != 3:
         raise ValueError("triple_count needs three distinct candidates")
-    total = 0
-    for order in p.orderings:
-        if order.index(xi) < order.index(yi) < order.index(zi):
-            total += 1
-    return total
+    return sum(
+        count
+        for order, count in p.runs
+        if order.index(xi) < order.index(yi) < order.index(zi)
+    )
 
 
 def prefer_at_least(p: VotingProfile, v: int, x: int | str) -> int:
@@ -220,8 +267,8 @@ def restrict_profile(p: VotingProfile, keep: int) -> VotingProfile:
         raise ValueError("cannot restrict to an empty candidate set")
     remap = {c: i for i, c in enumerate(kept)}
     names = tuple(p.candidates[c] for c in kept)
-    orders = tuple(tuple(remap[c] for c in order if c in remap) for order in p.orderings)
-    return VotingProfile(names, orders)
+    runs = [(tuple(remap[c] for c in order if c in remap), count) for order, count in p.runs]
+    return VotingProfile(names, runs=runs)
 
 
 def iter_set(mask: int) -> Iterator[int]:

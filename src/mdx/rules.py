@@ -38,6 +38,11 @@ __all__ = [
     "apply_rule",
 ]
 
+# optimal-lp treats worst-case values within this of the minimum as tied: the
+# float simplex can split an exact tie in its last digits (rotational n=5
+# gives C 2.999999999999974 and A 2.999999999999978).
+LP_TIE_TOL = 1e-9
+
 
 @dataclass(frozen=True)
 class Threshold:
@@ -287,7 +292,11 @@ def schulze_winner(g: WeightedTournamentGraph) -> RuleOutcome:
 def optimal_lp_winner(
     p: VotingProfile, cap: int = DEFAULT_LP_CAP, workers: int = 1
 ) -> RuleOutcome:
-    """argmin over A of max over B of the pairwise distortion LP value."""
+    """argmin over A of max over B of the pairwise distortion LP value.
+
+    Values within LP_TIE_TOL of the minimum tie; the alphabetically first
+    tied candidate wins.
+    """
     n = p.n
     if n == 1:
         return RuleOutcome(0, "optimal-lp", {"values": {}, "max_values": {p.candidates[0]: 1.0}})
@@ -305,9 +314,10 @@ def optimal_lp_winner(
     else:
         values = {pair: value(pair) for pair in pairs}
     max_value = {a: max(values[(a, b)] for b in range(n) if b != a) for a in range(n)}
+    # An infinite minimum leaves every candidate tied (inf <= inf + tol).
     best = min(max_value.values())
     winner = _alphabetical_min(
-        p.candidates, [a for a in range(n) if max_value[a] == best]
+        p.candidates, [a for a in range(n) if max_value[a] <= best + LP_TIE_TOL]
     )
     support = {
         "values": {

@@ -71,6 +71,12 @@ class TestReportShape:
         assert len(info["sha256"]) == 16
         int(info["sha256"], 16)  # hex digest prefix
 
+    def test_report_is_one_compact_line(self, capsys, profile_file):
+        code, out, _ = run(capsys, "tournament", profile_file(THREE_CYCLE))
+        assert code == 0
+        assert out.count("\n") == 1 and out.endswith("\n")
+        assert out.rstrip("\n") == json.dumps(json.loads(out), separators=(",", ":"))
+
     def test_rationals_are_structured(self, capsys, profile_file):
         path = profile_file(THREE_CYCLE)
         _, report = run_json(capsys, "tournament", path)
@@ -341,6 +347,12 @@ class TestInstanceCommand:
         code, out, _ = run(capsys, "instance", "three-cycle", "--plain")
         assert code == 0
         assert parse_profile(out) == three_cycle().profile
+
+    def test_plain_does_not_leak_into_the_next_call(self, capsys):
+        _, plain, _ = run(capsys, "instance", "three-cycle", "--plain")
+        assert plain == THREE_CYCLE
+        code, report = run_json(capsys, "instance", "three-cycle")
+        assert code == 0 and report["command"] == "instance"
 
     def test_plain_flag_accepted_in_both_positions(self, capsys):
         _, before, _ = run(capsys, "--plain", "instance", "three-cycle")

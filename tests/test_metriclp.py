@@ -2,10 +2,14 @@
 
 import math
 import random
+import struct
+from fractions import Fraction
 
 import numpy as np
 import pytest
 import scipy.optimize
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import euclidean_instance, random_profile
 from mdx.instances import fairness_table, lower_left, lower_right
@@ -27,6 +31,7 @@ from mdx.metriclp import (
     solve_lp,
     voter_labels,
 )
+from mdx.metriclp import _parse_cell  # private: compared against Fraction below
 from mdx.profile import parse_profile
 
 THREE_CYCLE = "A > B > C\nB > C > A\nC > A > B\n"
@@ -115,6 +120,34 @@ class TestMetricFiles:
         with pytest.raises(MetricParseError) as err:
             parse_metric(text)
         assert err.value.line == line
+
+    @pytest.mark.parametrize("cell", ["inf", "-inf", "nan", "Infinity", "1/0", "0x1p3", "1e400"])
+    def test_non_rational_entries_rejected(self, cell):
+        with pytest.raises(MetricParseError):
+            parse_metric(f",A,B\nA,0,{cell}\nB,{cell},0\n")
+
+
+def _outcome(parse, cell):
+    """The float's bits, or the exception type, that ``parse(cell)`` gives."""
+    try:
+        return struct.pack("<d", parse(cell))
+    except (ValueError, ZeroDivisionError, OverflowError) as exc:
+        return type(exc)
+
+
+_DECIMALS = st.from_regex(r"\A[-+]?(\d{0,5}\.?\d{0,5})([eE][-+]?\d{1,3})?\Z")
+_CELLS = st.one_of(
+    _DECIMALS,
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.fractions().map(str),
+    st.text(alphabet="0123456789+-./_eEinfaINFA", max_size=10),
+)
+
+
+@settings(max_examples=500)
+@given(_CELLS)
+def test_cell_fast_path_matches_fraction(cell):
+    assert _outcome(_parse_cell, cell) == _outcome(lambda c: float(Fraction(c)), cell)
 
 
 class TestConsistency:

@@ -2,8 +2,9 @@
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import profiles
+from conftest import candidate_names, profiles
 from mdx.instances import counterexample_relax1, counterexample_relax2
 from mdx.profile import (
     ProfileParseError,
@@ -20,6 +21,7 @@ from mdx.profile import (
     set_of,
     triple_count,
 )
+from mdx.rules import apply_rule
 
 THREE_CYCLE = "A > B > C\nB > C > A\nC > A > B\n"
 
@@ -233,3 +235,64 @@ def test_profile_validation():
         VotingProfile(("A", "A"), ((0, 1),))
     with pytest.raises(ValueError):
         VotingProfile(("A", "B"), ())
+
+
+@st.composite
+def run_texts(draw, max_n: int = 4, max_lines: int = 5):
+    """Profile text whose lines carry ``k:`` prefixes, some of them repeated."""
+    n = draw(st.integers(1, max_n))
+    names = candidate_names(n)
+    lines = []
+    for _ in range(draw(st.integers(1, max_lines))):
+        order = draw(st.permutations(names))
+        count = draw(st.integers(1, 4))
+        prefix = f"{count}: " if count > 1 or draw(st.booleans()) else ""
+        lines.append(prefix + " > ".join(order))
+    return "\n".join(lines) + "\n"
+
+
+class TestRuns:
+    def test_adjacent_equal_lines_merge(self):
+        p = parse_profile("2: A > B\nA > B\nB > A\nA > B\n")
+        assert p.runs == (((0, 1), 3), ((1, 0), 1), ((0, 1), 1))
+        assert p.m == 5
+
+    def test_runs_and_orderings_build_equal_profiles(self):
+        by_runs = VotingProfile(("A", "B"), runs=[((0, 1), 2), ((0, 1), 1), ((1, 0), 1)])
+        by_voters = VotingProfile(("A", "B"), ((0, 1), (0, 1), (0, 1), (1, 0)))
+        assert by_runs == by_voters and hash(by_runs) == hash(by_voters)
+        assert by_runs.orderings == by_voters.orderings
+        assert by_runs != VotingProfile(("A", "B"), ((0, 1), (1, 0), (0, 1), (0, 1)))
+
+    def test_run_validation_names_the_first_voter(self):
+        with pytest.raises(ValueError, match="voter 3 ordering"):
+            VotingProfile(("A", "B"), runs=[((0, 1), 3), ((1, 1), 2)])
+        with pytest.raises(ValueError, match="voter 1 count"):
+            VotingProfile(("A", "B"), runs=[((0, 1), 1), ((1, 0), 0)])
+        with pytest.raises(TypeError):
+            VotingProfile(("A", "B"), ((0, 1),), runs=[((0, 1), 1)])
+
+    @settings(max_examples=80)
+    @given(run_texts())
+    def test_prefixed_text_matches_its_expansion(self, text):
+        p = parse_profile(text)
+        q = parse_profile(serialize_profile(p))
+        assert p == q
+        assert p.m == q.m == len(q.orderings)
+        assert p.orderings == q.orderings
+        assert pairwise_counts(p) == pairwise_counts(q)
+        n = p.n
+        for x in range(n):
+            for y in range(n):
+                for z in range(n):
+                    if len({x, y, z}) == 3:
+                        assert triple_count(p, x, y, z) == triple_count(q, x, y, z)
+        for keep in range(1, 1 << n):
+            assert restrict_profile(p, keep) == restrict_profile(q, keep)
+
+    def test_huge_multiplicity_is_never_expanded(self):
+        p = parse_profile("1000000000000000: A > B > C\nB > C > A")
+        assert p.m == 10**15 + 1
+        assert pairwise_counts(p)[0, 1] == 10**15
+        assert p.candidates[apply_rule("copeland", p).winner] == "A"
+        assert "orderings" not in vars(p)

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import profiles, random_profile, strict_condorcet_winner
-from mdx.instances import counterexample_relax2, lower_left
+from mdx.instances import counterexample_relax2, lower_left, rotational_profile
+from mdx.metriclp import LpOutcome
 from mdx.profile import VotingProfile, mask_names, parse_profile
 from mdx.rules import (
     RULE_IDS,
@@ -290,6 +291,18 @@ class TestOptimalLp:
             assert values[x][prv] == pytest.approx(3.0, abs=1e-6)
         for v in out.support["max_values"].values():
             assert v == pytest.approx(3.0, abs=1e-6)
+
+    def test_float_tie_goes_to_the_alphabetical_first(self):
+        # Every candidate's worst-case value is 3; the simplex lands C a few
+        # ulps below A.
+        out = optimal_lp_winner(rotational_profile("ABCDE", 5).profile)
+        assert out.winner == 0
+
+    def test_infinite_minimum_ties_everyone(self, monkeypatch):
+        unbounded = LpOutcome("unbounded", None, None)
+        monkeypatch.setattr("mdx.rules.pairwise_distortion_lp", lambda *a, **k: unbounded)
+        p = parse_profile("B > A\nA > B")
+        assert p.candidates[optimal_lp_winner(p).winner] == "A"
 
     def test_workers_match_serial(self):
         p = parse_profile(THREE_CYCLE)
