@@ -14,7 +14,8 @@ Exit codes:
     5  the enumeration budget was exceeded
 
 The environment variable ``MDX_LP_CAP`` overrides the default cap on the
-number of points (candidates + voters) a distortion LP may use.
+number of points (candidates + distinct ballots) a distortion LP may use,
+and on candidates + voters for an LP witness metric.
 """
 
 from __future__ import annotations
@@ -294,12 +295,13 @@ def cmd_pairwise_lp(args) -> tuple[dict, dict, str, int]:
     _candidate_index(p, args.b)
     try:
         outcome = pairwise_distortion_lp(p, args.a, args.b, cap=_lp_cap())
+        witness = outcome.witness if args.witness else None
     except LpCapError as exc:
         raise CliFailure(EXIT_CODES["rule"], str(exc)) from exc
     inputs = {"profile": info, "a": args.a, "b": args.b}
     result: dict = {"status": outcome.status, "value": _jsonify(outcome.value)}
-    if args.witness and outcome.witness is not None:
-        result["witness"] = serialize_metric(outcome.witness)
+    if witness is not None:
+        result["witness"] = serialize_metric(witness)
     if outcome.status == "unbounded":
         plain = f"P({args.a},{args.b}) is unbounded"
     else:

@@ -2,10 +2,15 @@
 
 P(A, B, sigma) is the largest possible total voter distance to A over all
 (pseudo)metrics consistent with the profile sigma, normalized so that the
-total distance to B is 1.  It is computed as a dense LP with one variable
-per unordered pair of the N = n + m points, triangle constraints for every
-triple, and per-voter consistency constraints between ordering-adjacent
-candidates.  The solver is a self-contained two-phase primal simplex.
+total distance to B is 1.  It is solved as an LP with one point per
+distinct ballot t, weighted by its voter count: variables d(c, c') and
+d(c, t), ballot rows, and triangle rows c-c-c, c-t-c' and t-c-c' (the last
+only where the ballot rows do not imply it).  Its optimum is the one over
+every voter: at the optimal ratio R, moving the voters of a ballot onto the
+one with the largest d(A,v) - R d(B,v) does not lower the ratio
+(Dinkelbach), and voter-voter distances, read by no objective or ballot
+row, can be shortest paths through candidates, which is how witnesses are
+expanded.  The solver is a self-contained two-phase primal simplex.
 
 Distances mix candidates and voters in a single space; voters may tie and
 may sit at distance zero from other points (pseudometric).
@@ -14,8 +19,10 @@ may sit at distance zero from other points (pseudometric).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
+from itertools import combinations
 
 import numpy as np
 
@@ -156,11 +163,35 @@ class Metric:
 
 @dataclass(frozen=True)
 class LpOutcome:
-    """Result of one distortion LP: status 'optimal' or 'unbounded'."""
+    """Result of one distortion LP: status 'optimal' or 'unbounded'.
+
+    ``reduced`` row c holds candidate c's distances to the candidates, then
+    to ``profile.types``.  ``witness`` expands it to voters on first read,
+    raising LpCapError when candidates + voters exceed ``cap``.
+    """
 
     status: str
     value: float | None
-    witness: Metric | None
+    profile: VotingProfile | None = field(default=None, repr=False, compare=False)
+    reduced: np.ndarray | None = field(default=None, repr=False, compare=False)
+    cap: int = DEFAULT_LP_CAP
+
+    @cached_property
+    def witness(self) -> Metric | None:
+        """A consistent metric attaining ``value``; None unless optimal."""
+        if self.reduced is None:
+            return None
+        p = self.profile
+        if p.n + p.m > self.cap:
+            raise LpCapError(f"witness has {p.n + p.m} candidates + voters, cap is {self.cap}")
+        index = {order: t for t, (order, _) in enumerate(p.types)}
+        ballot = np.repeat([index[order] for order, _ in p.runs], [count for _, count in p.runs])
+        voter = self.reduced[:, p.n + ballot]
+        # Voters meet on a shortest path through a candidate; clones coincide.
+        between = np.min(voter[:, :, None] + voter[:, None, :], axis=0)
+        between[ballot[:, None] == ballot[None, :]] = 0.0
+        dist = np.block([[self.reduced[:, : p.n], voter], [voter.T, between]])
+        return Metric(p.candidates + voter_labels(p.m), p.n, dist)
 
 
 @dataclass(frozen=True)
@@ -224,12 +255,14 @@ def _parse_cell(cell: str) -> float:
 
     On a decimal both round the exact value once, so they agree bit for bit
     except in the sign of a zero, which only ``Fraction`` gets right.
-    ``float`` also accepts ``inf``, ``nan`` and underscores.  So zeros other
-    than plain ``0``/``0.0``, non-finite values, ``p/q`` and underscore cells
-    and anything ``float`` rejects go through ``Fraction``, which raises
-    where it always did.
+    ``float`` also accepts ``inf`` and ``nan``.  So zeros other than plain
+    ``0``/``0.0``, non-finite values, ``p/q`` cells and anything ``float``
+    rejects go through ``Fraction``, which raises where it always did.
+    Underscores are rejected, as ``Fraction`` reads ``1_0`` only on 3.11+.
     """
-    if "/" not in cell and "_" not in cell:
+    if "_" in cell:
+        raise ValueError(f"underscore in {cell!r}")
+    if "/" not in cell:
         try:
             value = float(cell)
         except ValueError:
@@ -314,77 +347,55 @@ def fairness_ratio_fixed(
     return numer / denom
 
 
-def _pair_index(n_points: int) -> dict[tuple[int, int], int]:
-    idx = {}
-    for i in range(n_points):
-        for j in range(i + 1, n_points):
-            idx[(i, j)] = len(idx)
-    return idx
-
-
-def _var(idx: dict, i: int, j: int) -> int:
-    return idx[(i, j) if i < j else (j, i)]
-
-
 def pairwise_distortion_lp(
     p: VotingProfile, a: int | str, b: int | str, cap: int = DEFAULT_LP_CAP
 ) -> LpOutcome:
     """Worst-case ratio LP: max total distance to a, total distance to b = 1.
 
-    a == b short-circuits to value 1 (the objective equals the normalized
-    constraint).  Status 'unbounded' means the ratio is unbounded: nothing
-    in the profile ties a's distances to b's.
+    ``cap`` bounds candidates + distinct ballots.  a == b short-circuits to
+    value 1 (the objective equals the normalized constraint).  Status
+    'unbounded' means the ratio is unbounded: nothing in the profile ties
+    a's distances to b's.
     """
     ai, bi = p.index(a), p.index(b)
     if ai == bi:
-        return LpOutcome("optimal", 1.0, None)
-    n, m = p.n, p.m
-    n_points = n + m
-    if n_points > cap:
-        raise LpCapError(f"LP needs {n_points} points, cap is {cap}")
-    idx = _pair_index(n_points)
-    nv = len(idx)
+        return LpOutcome("optimal", 1.0)
+    n, n_types = p.n, len(p.types)
+    if n + n_types > cap:
+        raise LpCapError(f"LP needs {n + n_types} points (candidates + ballots), cap is {cap}")
+    # Variables: d(c, c') per candidate pair, then d(c, t) per candidate and type.
+    pairs = list(combinations(range(n), 2))
+    cc = [[0] * n for _ in range(n)]
+    for k, (i, j) in enumerate(pairs):
+        cc[i][j] = cc[j][i] = k
+    ct = [[len(pairs) + c * n_types + t for t in range(n_types)] for c in range(n)]
 
-    objective = np.zeros(nv)
-    for v in range(m):
-        objective[_var(idx, ai, n + v)] = 1.0
+    # Row (u, v, w) reads d(u) - d(v) - d(w) <= 0; a ballot row repeats v.
+    rows = []
+    for t, (order, _) in enumerate(p.types):
+        rows += [(ct[x][t], ct[y][t], ct[y][t]) for x, y in zip(order, order[1:])]
+        # d(x, t) <= d(y, t) + d(x, y) for each y that t ranks above x.
+        rows += [(ct[x][t], ct[y][t], cc[x][y]) for i, y in enumerate(order) for x in order[i + 1:]]
+    for i, j in pairs:
+        rows += [(cc[i][j], cc[i][k], cc[k][j]) for k in range(n) if k != i and k != j]
+        rows += [(cc[i][j], ct[i][t], ct[j][t]) for t in range(n_types)]
+    rows = np.array(rows)
+    at = np.arange(len(rows))[:, None]
+    a_ub = np.zeros((len(rows), len(pairs) + n * n_types))
+    a_ub[at, rows[:, :1]] = 1.0
+    a_ub[at, rows[:, 1:]] = -1.0
+    objective, a_eq = np.zeros(a_ub.shape[1]), np.zeros((1, a_ub.shape[1]))
+    objective[ct[ai]] = a_eq[0, ct[bi]] = [count for _, count in p.types]
 
-    a_eq = np.zeros((1, nv))
-    for v in range(m):
-        a_eq[0, _var(idx, bi, n + v)] = 1.0
-    b_eq = np.ones(1)
-
-    n_cons = m * (n - 1)
-    n_tri = (n_points * (n_points - 1) // 2) * (n_points - 2)
-    a_ub = np.zeros((n_cons + n_tri, nv))
-    row = 0
-    for v, order in enumerate(p.orderings):
-        for x, y in zip(order, order[1:]):
-            a_ub[row, _var(idx, x, n + v)] += 1.0
-            a_ub[row, _var(idx, y, n + v)] -= 1.0
-            row += 1
-    for (i, j), vij in idx.items():
-        for k in range(n_points):
-            if k == i or k == j:
-                continue
-            a_ub[row, vij] += 1.0
-            a_ub[row, _var(idx, i, k)] -= 1.0
-            a_ub[row, _var(idx, k, j)] -= 1.0
-            row += 1
-    b_ub = np.zeros(row)
-
-    result = solve_lp(objective, a_ub, b_ub, a_eq, b_eq, maximize=True)
+    result = solve_lp(objective, a_ub, np.zeros(len(rows)), a_eq, np.ones(1), maximize=True)
     if result.status == "unbounded":
-        return LpOutcome("unbounded", None, None)
+        return LpOutcome("unbounded", None)
     if result.status != "optimal":
         raise SolverFailureError(f"distortion LP ended with status {result.status}")
-
-    dist = np.zeros((n_points, n_points))
-    for (i, j), v in idx.items():
-        dist[i, j] = dist[j, i] = max(result.x[v], 0.0)
-    labels = p.candidates + voter_labels(m)
-    witness = Metric(labels, n, dist)
-    return LpOutcome("optimal", result.value, witness)
+    x = np.maximum(result.x, 0.0)
+    reduced = np.hstack([x[cc], x[ct]])
+    np.fill_diagonal(reduced, 0.0)
+    return LpOutcome("optimal", result.value, p, reduced, cap)
 
 
 def max_distortion(

@@ -115,6 +115,14 @@ class VotingProfile:
         """One ordering per voter, expanded from the runs on first use."""
         return tuple(order for order, count in self.runs for _ in range(count))
 
+    @cached_property
+    def types(self) -> tuple[tuple[tuple[int, ...], int], ...]:
+        """``(ordering, voter count)`` per distinct ordering, first seen first."""
+        counts: Counter[tuple[int, ...]] = Counter()
+        for order, count in self.runs:
+            counts[order] += count
+        return tuple(counts.items())
+
     @property
     def n(self) -> int:
         return len(self.candidates)
@@ -204,15 +212,12 @@ def serialize_profile(p: VotingProfile) -> str:
 def pairwise_counts(p: VotingProfile) -> PairwiseMatrix:
     """Count, for every ordered pair (x, y), the voters ranking x above y.
 
-    Runs are grouped by ordering first, so the cost is one pass over the runs
-    plus n^2 per distinct ordering, whatever the voter count.
+    Runs are grouped by ordering first (``p.types``), so the cost is one pass
+    over the runs plus n^2 per distinct ordering, whatever the voter count.
     """
     n = p.n
-    types: Counter[tuple[int, ...]] = Counter()
-    for order, count in p.runs:
-        types[order] += count
     counts = [[0] * n for _ in range(n)]
-    for order, count in types.items():
+    for order, count in p.types:
         for i, x in enumerate(order):
             row = counts[x]
             for y in order[i + 1:]:

@@ -220,6 +220,15 @@ class TestPairwiseLp:
         assert code == EXIT_CODES["rule"] == 3
         assert "cap" in err
 
+    def test_witness_above_the_cap(self, capsys, profile_file):
+        # Two distinct ballots fit the LP; a million voters do not fit a witness.
+        path = profile_file("1000000: A > B\nB > A\n")
+        code, report = run_json(capsys, "pairwise-lp", path, "A", "B")
+        assert code == 0 and report["result"]["status"] == "optimal"
+        code, _, err = run(capsys, "pairwise-lp", path, "A", "B", "--witness")
+        assert code == EXIT_CODES["rule"] == 3
+        assert "cap" in err
+
     def test_garbage_cap_is_a_parse_error(self, capsys, monkeypatch, profile_file):
         path = profile_file(THREE_CYCLE)
         monkeypatch.setenv("MDX_LP_CAP", "soup")

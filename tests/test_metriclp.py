@@ -11,7 +11,7 @@ import scipy.optimize
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import euclidean_instance, random_profile
+from conftest import candidate_names, euclidean_instance, random_profile
 from mdx.instances import fairness_table, lower_left, lower_right
 from mdx.metriclp import (
     DEFAULT_LP_CAP,
@@ -32,7 +32,8 @@ from mdx.metriclp import (
     voter_labels,
 )
 from mdx.metriclp import _parse_cell  # private: compared against Fraction below
-from mdx.profile import parse_profile
+from mdx.profile import VotingProfile, parse_profile
+from mdx.rules import optimal_lp_winner
 
 THREE_CYCLE = "A > B > C\nB > C > A\nC > A > B\n"
 
@@ -121,7 +122,9 @@ class TestMetricFiles:
             parse_metric(text)
         assert err.value.line == line
 
-    @pytest.mark.parametrize("cell", ["inf", "-inf", "nan", "Infinity", "1/0", "0x1p3", "1e400"])
+    @pytest.mark.parametrize(
+        "cell", ["inf", "-inf", "nan", "Infinity", "1/0", "0x1p3", "1e400", "1_0"]
+    )
     def test_non_rational_entries_rejected(self, cell):
         with pytest.raises(MetricParseError):
             parse_metric(f",A,B\nA,0,{cell}\nB,{cell},0\n")
@@ -144,10 +147,17 @@ _CELLS = st.one_of(
 )
 
 
+def _reference_cell(cell):
+    """``float(Fraction(cell))``, with underscore cells rejected."""
+    if "_" in cell:
+        raise ValueError(cell)
+    return float(Fraction(cell))
+
+
 @settings(max_examples=500)
 @given(_CELLS)
 def test_cell_fast_path_matches_fraction(cell):
-    assert _outcome(_parse_cell, cell) == _outcome(lambda c: float(Fraction(c)), cell)
+    assert _outcome(_parse_cell, cell) == _outcome(_reference_cell, cell)
 
 
 class TestConsistency:
@@ -418,6 +428,46 @@ def test_lp_against_scipy_oracle():
             assert mine.value == pytest.approx(value, abs=1e-6)
             agreements += 1
     assert agreements > 0
+
+
+@st.composite
+def clone_heavy_lps(draw):
+    """A runs-built profile with n + m <= 12 drawn from at most three ballots,
+    and an ordered pair of distinct candidates."""
+    n = draw(st.integers(2, 4))
+    pool = draw(st.lists(st.permutations(range(n)), min_size=1, max_size=3))
+    runs = []
+    room = 12 - n
+    while room and (not runs or draw(st.booleans())):
+        count = draw(st.integers(1, room))
+        runs.append((tuple(draw(st.sampled_from(pool))), count))
+        room -= count
+    a, b = draw(st.permutations(range(n)))[:2]
+    return VotingProfile(candidate_names(n), runs=runs), a, b
+
+
+@settings(max_examples=150, deadline=None)
+@given(clone_heavy_lps())
+def test_lp_agrees_with_voter_level_highs(case):
+    p, a, b = case
+    mine = pairwise_distortion_lp(p, a, b)
+    status, value = reference_lp(p, a, b)
+    assert mine.status == status
+    if status == "optimal":
+        assert mine.value == pytest.approx(value, rel=1e-9)
+        w = mine.witness
+        assert check_consistent(w, p, tol=1e-9)
+        assert w.triangle_violation(1e-9) is None
+        assert social_cost(w, b) == pytest.approx(1.0, rel=1e-9)
+        assert social_cost(w, a) == pytest.approx(mine.value, rel=1e-9)
+
+
+def test_lp_costs_per_distinct_ballot():
+    p = parse_profile("1000000: A > B\nB > A")
+    assert pairwise_distortion_lp(p, "A", "B").value == pytest.approx(1 + 2 / 10**6, rel=1e-9)
+    assert pairwise_distortion_lp(p, "B", "A").value == pytest.approx(2 * 10**6 + 1, rel=1e-9)
+    assert p.candidates[optimal_lp_winner(p).winner] == "A"
+    assert "orderings" not in vars(p)
 
 
 class TestCostShiftInequalities:
