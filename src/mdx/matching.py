@@ -7,6 +7,11 @@ B is liked at most as much as A by v'.  A perfect matching in G(A,B)
 certifies that electing A costs at most three times the social cost of B on
 every metric consistent with the profile.
 
+The graph keeps one vertex per voter, but its rows are built per ballot run:
+voters with equal P_v(B) share a row and voters with equal Q_v'(A) share a
+column, so the build never expands the profile's counts.  Hopcroft-Karp
+(1973) then finds a maximum matching with bitmask frontiers.
+
 Two sufficient tests avoid building the graph: a voter-majority self-loop
 count, and an exact open/closed interval subtraction on tournament weights
 whose empty remainder forces a perfect matching.
@@ -14,15 +19,16 @@ whose empty remainder forces a perfect matching.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
+from operator import or_
 
 from mdx.profile import (
     VotingProfile,
+    iter_set,
     pairwise_counts,  # not called here; bench/tracing.py patches this name
-    prefer_at_least,
-    prefer_at_most,
+    set_of,
 )
 from mdx.tournament import WeightedTournamentGraph, build_tournament
 
@@ -108,26 +114,40 @@ class IntervalDifference:
 
 
 def build_cover_graph(p: VotingProfile, a: int | str, b: int | str) -> BipartiteCoverGraph:
-    """Construct G(a, b) with one bitset intersection per vertex pair."""
+    """Construct G(a, b) from the profile's runs, never expanding voters.
+
+    A left voter's row depends only on P_v(b) and a right voter's column only
+    on Q_v'(a), so one pass over the runs collects the voter bits of each
+    distinct Q; each distinct P then gets one row, the OR of the columns whose
+    Q meets it.  Cost: O(runs + |P|*|Q|) big-int ORs, not m^2 pair tests.
+    """
     ai, bi = p.index(a), p.index(b)
     if ai == bi:
         raise ValueError("cover graph needs two distinct candidates")
-    lefts = [prefer_at_least(p, v, bi) for v in range(p.m)]
-    rights = [prefer_at_most(p, v, ai) for v in range(p.m)]
-    rows = []
-    for lv in lefts:
-        row = 0
-        bit = 1
-        for rv in rights:
-            if lv & rv:
-                row |= bit
-            bit <<= 1
-        rows.append(row)
+    columns: dict[int, int] = {}
+    run_tops = []
+    offset = 0
+    for order, count in p.runs:
+        q = set_of(order[order.index(ai):])
+        columns[q] = columns.get(q, 0) | ((1 << count) - 1) << offset
+        run_tops.append((set_of(order[: order.index(bi) + 1]), count))
+        offset += count
+    row_of: dict[int, int] = {}
+    rows: list[int] = []
+    for top, count in run_tops:
+        if top not in row_of:
+            row_of[top] = reduce(or_, (cols for q, cols in columns.items() if q & top), 0)
+        rows += [row_of[top]] * count
     return BipartiteCoverGraph(p.m, tuple(rows), ai, bi)
 
 
 def max_matching(g: BipartiteCoverGraph) -> MatchingResult:
-    """Maximum bipartite matching via Hopcroft-Karp on bitmask adjacency."""
+    """Maximum bipartite matching via Hopcroft-Karp on bitmask adjacency.
+
+    Each phase's BFS records layers[k], the right vertices first reached from
+    left layer k, so it expands every right vertex once; the DFS, iterative
+    with an explicit stack, takes each right vertex at most once per phase.
+    """
     m = g.m
     rows = g.rows
     match_l = [-1] * m
@@ -145,51 +165,45 @@ def max_matching(g: BipartiteCoverGraph) -> MatchingResult:
             free_r ^= 1 << r
             size += 1
 
-    INF = m + 1
-    dist = [0] * m
-
-    def bfs() -> bool:
-        queue = deque()
-        for v in range(m):
-            if match_l[v] < 0:
-                dist[v] = 0
-                queue.append(v)
-            else:
-                dist[v] = INF
-        found = False
-        while queue:
-            v = queue.popleft()
-            adj = rows[v]
-            while adj:
-                low = adj & -adj
-                r = low.bit_length() - 1
-                adj ^= low
-                u = match_r[r]
-                if u < 0:
-                    found = True
-                elif dist[u] == INF:
-                    dist[u] = dist[v] + 1
-                    queue.append(u)
-        return found
-
-    def dfs(v: int) -> bool:
-        adj = rows[v]
-        while adj:
-            low = adj & -adj
-            r = low.bit_length() - 1
-            adj ^= low
-            u = match_r[r]
-            if u < 0 or (dist[u] == dist[v] + 1 and dfs(u)):
-                match_l[v] = r
-                match_r[r] = v
-                return True
-        dist[v] = INF
-        return False
-
-    while size < m and bfs():
-        for v in range(m):
-            if match_l[v] < 0 and dfs(v):
-                size += 1
+    while size < m:
+        frontier = free_l = [v for v in range(m) if match_l[v] < 0]
+        unseen = (1 << m) - 1
+        layers = []
+        while frontier:
+            layer = 0
+            for v in frontier:
+                layer |= rows[v]
+            layer &= unseen
+            unseen ^= layer
+            layers.append(layer)
+            if layer & free_r:
+                break
+            frontier = [match_r[r] for r in iter_set(layer)]
+        else:
+            break  # no augmenting path: the matching is maximum
+        # Only free right vertices end a shortest path in the last layer.
+        layers[-1] &= free_r
+        avail = (1 << m) - 1
+        for s in free_l:
+            path, rights = [s], []
+            while path:
+                cand = rows[path[-1]] & avail & layers[len(path) - 1]
+                if not cand:
+                    path.pop()
+                    if rights:
+                        rights.pop()
+                    continue
+                low = cand & -cand
+                avail ^= low
+                rights.append(low.bit_length() - 1)
+                if low & free_r:
+                    free_r ^= low
+                    for v, r in zip(path, rights):
+                        match_l[v] = r
+                        match_r[r] = v
+                    size += 1
+                    break
+                path.append(match_r[rights[-1]])
     return MatchingResult(size, tuple(match_l), size == m)
 
 

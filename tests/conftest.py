@@ -41,6 +41,22 @@ def profiles(draw, max_n: int = 4, max_m: int = 4, min_n: int = 1):
     return VotingProfile(candidate_names(n), orderings)
 
 
+@st.composite
+def clone_heavy_cases(draw, size: int = 12):
+    """A runs-built profile with n + m <= size drawn from at most three
+    ballots, and an ordered pair of distinct candidates."""
+    n = draw(st.integers(2, 4))
+    pool = draw(st.lists(st.permutations(range(n)), min_size=1, max_size=3))
+    runs = []
+    room = size - n
+    while room and (not runs or draw(st.booleans())):
+        count = draw(st.integers(1, room))
+        runs.append((tuple(draw(st.sampled_from(pool))), count))
+        room -= count
+    a, b = draw(st.permutations(range(n)))[:2]
+    return VotingProfile(candidate_names(n), runs=runs), a, b
+
+
 def strict_condorcet_winner(p: VotingProfile) -> int | None:
     """The candidate beating every other by strict majority, if any."""
     counts = pairwise_counts(p)

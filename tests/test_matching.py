@@ -8,8 +8,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import maximum_bipartite_matching
 
-from conftest import profiles, random_profile
+from conftest import clone_heavy_cases, profiles, random_profile
 from mdx.instances import (
     counterexample_relax1,
     counterexample_relax2,
@@ -30,7 +32,15 @@ from mdx.matching import (
     rank_sum_test,
     subtract_intervals,
 )
-from mdx.profile import mask_names, parse_profile, pairwise_counts, set_of
+from mdx.profile import (
+    iter_set,
+    mask_names,
+    pairwise_counts,
+    parse_profile,
+    prefer_at_least,
+    prefer_at_most,
+    set_of,
+)
 from mdx.tournament import build_tournament
 
 THREE_CYCLE = "A > B > C\nB > C > A\nC > A > B\n"
@@ -51,6 +61,16 @@ def brute_force_max_matching(g: BipartiteCoverGraph) -> int:
 def random_cover_graph(rng: random.Random, m: int) -> BipartiteCoverGraph:
     rows = tuple(rng.randrange(1 << m) for _ in range(m))
     return BipartiteCoverGraph(m, rows, 0, 1)
+
+
+def scipy_max_matching(g: BipartiteCoverGraph) -> int:
+    lefts, rights = [], []
+    for v, row in enumerate(g.rows):
+        for r in iter_set(row):
+            lefts.append(v)
+            rights.append(r)
+    adjacency = csr_matrix(([1] * len(lefts), (lefts, rights)), shape=(g.m, g.m))
+    return int((maximum_bipartite_matching(adjacency, perm_type="column") >= 0).sum())
 
 
 class TestCoverGraph:
@@ -92,6 +112,29 @@ class TestCoverGraph:
         g = build_cover_graph(p, a, b)
         loops = sum(1 for v in range(p.m) if g.has_edge(v, v))
         assert loops == counts[a, b]
+
+    @settings(max_examples=100, deadline=None)
+    @given(clone_heavy_cases(size=40))
+    def test_run_build_matches_definition(self, case):
+        p, a, b = case
+        g = build_cover_graph(p, a, b)
+        assert (g.m, g.a, g.b) == (p.m, a, b)
+        lefts = [prefer_at_least(p, v, b) for v in range(p.m)]
+        rights = [prefer_at_most(p, v, a) for v in range(p.m)]
+        for v in range(p.m):
+            for vp in range(p.m):
+                assert g.has_edge(v, vp) == (lefts[v] & rights[vp] != 0)
+
+    def test_build_keeps_counts_unexpanded(self):
+        p = parse_profile("400: A > B > C\n3: C > B > A\n250: B > A > C")
+        g = build_cover_graph(p, "A", "C")
+        full = (1 << 653) - 1
+        # P = {C} for C > B > A misses only its own clones' Q = {A}.
+        assert g.rows[:400] == (full,) * 400
+        assert g.rows[400:403] == (full ^ 0b111 << 400,) * 3
+        assert g.rows[403:] == (full,) * 250
+        assert max_matching(g).perfect
+        assert "orderings" not in vars(p)
 
 
 class TestMatchingAlgorithms:
@@ -146,6 +189,34 @@ class TestMatchingAlgorithms:
         for _ in range(300):
             g = random_cover_graph(rng, rng.randint(1, 8))
             assert max_matching(g).perfect == (hall_violator(g) is None)
+
+    def test_max_matching_against_scipy(self):
+        rng = random.Random(1973)
+        for trial in range(300):
+            m = rng.randint(1, 90)
+            if trial % 3 == 0:  # dense
+                rows = [rng.getrandbits(m) for _ in range(m)]
+            elif trial % 3 == 1:  # sparse: at most three edges per row
+                rows = [set_of(rng.randrange(m) for _ in range(rng.randint(0, 3))) for _ in range(m)]
+            else:  # grouped: clone voters share a row, as in cover graphs
+                pool = [set_of(rng.sample(range(m), rng.randint(0, min(m, 8)))) for _ in range(4)]
+                rows = [rng.choice(pool) for _ in range(m)]
+            g = BipartiteCoverGraph(m, tuple(rows), 0, 1)
+            result = max_matching(g)
+            assert result.size == scipy_max_matching(g)
+            pairs = result.pairs()
+            assert len(pairs) == result.size
+            assert len({r for _, r in pairs}) == len(pairs)
+            assert all(g.has_edge(v, r) for v, r in pairs)
+
+    def test_long_augmenting_path(self):
+        # Greedy seeding leaves the last left vertex free, and its only
+        # augmenting path runs through every vertex.
+        m = 3000
+        g = BipartiteCoverGraph(m, tuple(0b11 << v for v in range(m - 1)) + (1,), 0, 1)
+        result = max_matching(g)
+        assert result.perfect
+        assert is_perfect_matching(g, result.pairs())
 
 
 class TestIntervalSubtraction:

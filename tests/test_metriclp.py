@@ -11,7 +11,7 @@ import scipy.optimize
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import candidate_names, euclidean_instance, random_profile
+from conftest import clone_heavy_cases, euclidean_instance, random_profile
 from mdx.instances import fairness_table, lower_left, lower_right
 from mdx.metriclp import (
     DEFAULT_LP_CAP,
@@ -32,7 +32,7 @@ from mdx.metriclp import (
     voter_labels,
 )
 from mdx.metriclp import _parse_cell  # private: compared against Fraction below
-from mdx.profile import VotingProfile, parse_profile
+from mdx.profile import parse_profile
 from mdx.rules import optimal_lp_winner
 
 THREE_CYCLE = "A > B > C\nB > C > A\nC > A > B\n"
@@ -430,24 +430,8 @@ def test_lp_against_scipy_oracle():
     assert agreements > 0
 
 
-@st.composite
-def clone_heavy_lps(draw):
-    """A runs-built profile with n + m <= 12 drawn from at most three ballots,
-    and an ordered pair of distinct candidates."""
-    n = draw(st.integers(2, 4))
-    pool = draw(st.lists(st.permutations(range(n)), min_size=1, max_size=3))
-    runs = []
-    room = 12 - n
-    while room and (not runs or draw(st.booleans())):
-        count = draw(st.integers(1, room))
-        runs.append((tuple(draw(st.sampled_from(pool))), count))
-        room -= count
-    a, b = draw(st.permutations(range(n)))[:2]
-    return VotingProfile(candidate_names(n), runs=runs), a, b
-
-
 @settings(max_examples=150, deadline=None)
-@given(clone_heavy_lps())
+@given(clone_heavy_cases())
 def test_lp_agrees_with_voter_level_highs(case):
     p, a, b = case
     mine = pairwise_distortion_lp(p, a, b)
