@@ -24,6 +24,7 @@ matcher of :mod:`mdx.matching`.
 from __future__ import annotations
 
 import math
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -33,9 +34,8 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from mdx.matching import build_cover_graph, interval_test, max_matching
+from mdx.matching import build_cover_graph, max_matching
 from mdx.profile import VotingProfile, default_candidates
-from mdx.tournament import build_tournament
 
 __all__ = [
     "DEFAULT_BUDGET",
@@ -53,16 +53,11 @@ DEFAULT_BUDGET = 20_000_000
 
 @dataclass(frozen=True)
 class EdgeCheck:
-    """Result for one directed cycle edge (X_i, X_(i+1)).
-
-    ``method`` records what decided it: "interval" when the interval
-    shortcut certified a perfect matching, "matching" when the full
-    matching ran.  Absence can only be established by "matching".
-    """
+    """Result for one directed cycle edge (X_i, X_(i+1)): whether its
+    cover graph has a perfect matching, decided by Hopcroft-Karp."""
 
     pair: tuple[str, str]
     found: bool
-    method: str
 
 
 @dataclass(frozen=True)
@@ -97,26 +92,19 @@ class Verdict:
     counterexample: VotingProfile | None = None
 
 
-def check_cycle_condition(p: VotingProfile, use_fast_paths: bool = True) -> CycleCheck:
-    """Decide perfect-matching existence for every consecutive cycle pair.
-
-    Fast path (a): an empty interval-test remainder certifies a perfect
-    matching without building one.  Fast path (b) is the matching itself.
-    """
+def check_cycle_condition(p: VotingProfile) -> CycleCheck:
+    """Decide perfect-matching existence for every consecutive cycle pair,
+    running Hopcroft-Karp on each cycle edge's cover graph."""
     n = p.n
     if n < 2:
         return CycleCheck(())
-    g = build_tournament(p) if use_fast_paths else None
-    edges = []
-    for i in range(n):
-        a, b = i, (i + 1) % n
-        pair = (p.candidates[a], p.candidates[b])
-        if use_fast_paths and interval_test(g, a, b).remainder_empty:
-            edges.append(EdgeCheck(pair, True, "interval"))
-            continue
-        res = max_matching(build_cover_graph(p, a, b))
-        edges.append(EdgeCheck(pair, res.perfect, "matching"))
-    return CycleCheck(tuple(edges))
+    return CycleCheck(tuple(
+        EdgeCheck(
+            (p.candidates[i], p.candidates[(i + 1) % n]),
+            max_matching(build_cover_graph(p, i, (i + 1) % n)).perfect,
+        )
+        for i in range(n)
+    ))
 
 
 def count_canonical(n: int, m: int) -> int:
@@ -201,9 +189,7 @@ def enumerate_profiles(n: int, m: int) -> Iterator[VotingProfile]:
         yield VotingProfile(names, tuple(perms[r] for r in seq))
 
 
-def _scan_shard(
-    n: int, m: int, lo: int, hi: int, use_fast_paths: bool
-) -> tuple[int, tuple[int, ...] | None]:
+def _scan_shard(n: int, m: int, lo: int, hi: int) -> tuple[int, tuple[int, ...] | None]:
     """Scan canonical profiles whose first (smallest) rank lies in [lo, hi).
 
     Returns (count, counterexample): the number of canonical profiles
@@ -258,13 +244,10 @@ def _scan_shard(
             if not canon.any():
                 return 0, None
         checked = int(canon.sum())
-        if use_fast_paths:
-            fast = np.zeros(tails.size, dtype=bool)
-            for j in range(n):
-                fast |= 2 * (cnt_fwd[j] + fwd[j, lo_t:hi_t]) >= m
-            need = canon & ~fast
-        else:
-            need = canon
+        fast = np.zeros(tails.size, dtype=bool)
+        for j in range(n):
+            fast |= 2 * (cnt_fwd[j] + fwd[j, lo_t:hi_t]) >= m
+        need = canon & ~fast
         if need.any():
             for i in np.flatnonzero(need):
                 ranks = (*prefix, int(tails[i]))
@@ -324,14 +307,14 @@ def verify_conjecture(
     m: int,
     workers: int = 1,
     budget: int = DEFAULT_BUDGET,
-    use_fast_paths: bool = True,
 ) -> Verdict:
     """Check the cycle condition on every canonical (n, m) profile.
 
-    Work shards by first-voter rank range across `workers` processes;
-    results are combined in shard order, so the verdict and the count
-    are identical for any worker count.  If the class count exceeds
-    `budget`, returns status "budget-exceeded" without scanning.
+    Work shards by first-voter rank range across at most `workers`
+    processes, no more than there are shards or CPUs; results are combined
+    in shard order, so the verdict and the count are identical for any
+    worker count.  If the class count exceeds `budget`, returns status
+    "budget-exceeded" without scanning.
     """
     if n < 2 or m < 1:
         raise ValueError("need n >= 2 candidates and m >= 1 voters")
@@ -342,13 +325,12 @@ def verify_conjecture(
     checked = 0
     ce: tuple[int, ...] | None = None
     if workers <= 1:
-        checked, ce = _scan_shard(n, m, 0, size, use_fast_paths)
+        checked, ce = _scan_shard(n, m, 0, size)
     else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                pool.submit(_scan_shard, n, m, a, b, use_fast_paths)
-                for a, b in _shard_ranges(size, workers)
-            ]
+        shards = _shard_ranges(size, workers)
+        procs = min(workers, len(shards), os.cpu_count() or 1)
+        with ProcessPoolExecutor(max_workers=procs) as pool:
+            futures = [pool.submit(_scan_shard, n, m, a, b) for a, b in shards]
             for fut in futures:
                 count, shard_ce = fut.result()
                 checked += count

@@ -12,9 +12,11 @@ voters with equal P_v(B) share a row and voters with equal Q_v'(A) share a
 column, so the build never expands the profile's counts.  Hopcroft-Karp
 (1973) then finds a maximum matching with bitmask frontiers.
 
-Two sufficient tests avoid building the graph: a voter-majority self-loop
-count, and an exact open/closed interval subtraction on tournament weights
-whose empty remainder forces a perfect matching.
+``matching_uncovered_set`` decides each pair one way: a weak voter majority
+for A over B forces a perfect matching through self-loops, and every other
+pair runs Hopcroft-Karp.  ``interval_test`` (exact interval subtraction on
+tournament weights) and ``rank_sum_test`` (a degree-sequence test) are
+standalone sufficient tests; no membership decision calls them.
 """
 
 from __future__ import annotations
@@ -24,13 +26,9 @@ from fractions import Fraction
 from functools import reduce
 from operator import or_
 
-from mdx.profile import (
-    VotingProfile,
-    iter_set,
-    pairwise_counts,  # not called here; bench/tracing.py patches this name
-    set_of,
-)
-from mdx.tournament import WeightedTournamentGraph, build_tournament
+from mdx.profile import VotingProfile, iter_set, pairwise_counts, set_of
+from mdx.tournament import WeightedTournamentGraph
+from mdx.tournament import build_tournament  # not called here; bench/tracing.py patches this name
 
 __all__ = [
     "OracleLimitError",
@@ -297,44 +295,54 @@ def rank_sum_test(p: VotingProfile, a: int | str, b: int | str) -> int | None:
     returns the least 1-based k whose pair sums to at most n, else None.
     When no such k exists a perfect matching is guaranteed; when one exists
     nothing follows (the test can fire on graphs that still have one).
+
+    Both sorted lists are kept as (size, voter count) runs and walked
+    together one segment at a time, so voters are never expanded.
     """
     ai, bi = p.index(a), p.index(b)
     if ai == bi:
         raise ValueError("rank-sum test needs two distinct candidates")
     n = p.n
-    p_sizes = sorted((p.rank(v, bi) + 1 for v in range(p.m)), reverse=True)
-    q_sizes = sorted(n - p.rank(v, ai) for v in range(p.m))
-    for k in range(p.m):
-        if p_sizes[k] + q_sizes[k] <= n:
+    p_count = [0] * (n + 1)
+    q_count = [0] * (n + 1)
+    for order, count in p.types:
+        p_count[order.index(bi) + 1] += count
+        q_count[n - order.index(ai)] += count
+    p_runs = ((s, p_count[s]) for s in range(n, 0, -1) if p_count[s])
+    q_runs = ((s, q_count[s]) for s in range(1, n + 1) if q_count[s])
+    (p_size, p_left), (q_size, q_left) = next(p_runs), next(q_runs)
+    k = 0
+    while True:
+        if p_size + q_size <= n:
             return k + 1
-    return None
+        step = min(p_left, q_left)
+        k += step
+        if k == p.m:
+            return None
+        p_left -= step
+        q_left -= step
+        if not p_left:
+            p_size, p_left = next(p_runs)
+        if not q_left:
+            q_size, q_left = next(q_runs)
 
 
-def matching_uncovered_set(p: VotingProfile, use_fast_paths: bool = True) -> int:
+def matching_uncovered_set(p: VotingProfile) -> int:
     """Candidates A whose cover graph G(A,B) has a perfect matching for all B.
 
-    Fast paths (cheapest first): a weak voter majority for A over B forces a
-    perfect matching via self-loops; an empty interval-test remainder forces
-    one by exact weight arithmetic.  Only survivors get the full matching.
+    A weak voter majority for A over B forces a perfect matching through
+    self-loops; every other pair runs Hopcroft-Karp on G(A,B).
     """
     n = p.n
     if n == 1:
         return 1
-    g = build_tournament(p) if use_fast_paths else None
+    counts = pairwise_counts(p)
     members = 0
     for a in range(n):
-        ok = True
-        for b in range(n):
-            if a == b:
-                continue
-            if use_fast_paths:
-                if 2 * g.count(a, b) >= p.m:
-                    continue
-                if interval_test(g, a, b).remainder_empty:
-                    continue
-            if not max_matching(build_cover_graph(p, a, b)).perfect:
-                ok = False
-                break
-        if ok:
+        if all(
+            2 * counts[a, b] >= p.m or max_matching(build_cover_graph(p, a, b)).perfect
+            for b in range(n)
+            if b != a
+        ):
             members |= 1 << a
     return members

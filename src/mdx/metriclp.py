@@ -398,26 +398,16 @@ def pairwise_distortion_lp(
     return LpOutcome("optimal", result.value, p, reduced, cap)
 
 
-def max_distortion(
-    p: VotingProfile, a: int | str, cap: int = DEFAULT_LP_CAP, workers: int = 1
-) -> float:
+def max_distortion(p: VotingProfile, a: int | str, cap: int = DEFAULT_LP_CAP) -> float:
     """max over opponents b of the pairwise LP value; +inf if any unbounded."""
     ai = p.index(a)
     if p.n == 1:
         return 1.0
-    opponents = [b for b in range(p.n) if b != ai]
-
-    def value(b: int) -> float:
-        outcome = pairwise_distortion_lp(p, ai, b, cap=cap)
-        return math.inf if outcome.status == "unbounded" else outcome.value
-
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            values = list(pool.map(value, opponents))
-    else:
-        values = [value(b) for b in opponents]
+    values = []
+    for b in range(p.n):
+        if b != ai:
+            outcome = pairwise_distortion_lp(p, ai, b, cap=cap)
+            values.append(math.inf if outcome.status == "unbounded" else outcome.value)
     return max(values)
 
 

@@ -1,7 +1,9 @@
 """The cycle-matching condition and its exhaustive verifier."""
 
 import itertools
+import os
 import random
+from concurrent.futures import Future
 
 import pytest
 
@@ -14,8 +16,8 @@ from mdx.conjecture import (
     verify_conjecture,
 )
 from mdx.instances import counterexample_relax1
-from mdx.matching import MatchingResult, build_cover_graph, max_matching
-from mdx.profile import VotingProfile, pairwise_counts, parse_profile
+from mdx.matching import MatchingResult, build_cover_graph, hall_violator, max_matching
+from mdx.profile import VotingProfile, pairwise_counts, parse_profile, serialize_profile
 
 THREE_CYCLE = "A > B > C\nB > C > A\nC > A > B\n"
 
@@ -29,10 +31,10 @@ def rotations_of(p: VotingProfile):
 
 
 class TestCycleCondition:
-    def test_three_cycle_all_edges_by_interval(self):
+    def test_three_cycle_all_edges_found(self):
         check = check_cycle_condition(parse_profile(THREE_CYCLE))
         assert [e.pair for e in check.edges] == [("A", "B"), ("B", "C"), ("C", "A")]
-        assert all(e.found and e.method == "interval" for e in check.edges)
+        assert all(e.found for e in check.edges)
         assert check.satisfied
 
     def test_single_voter(self):
@@ -47,21 +49,20 @@ class TestCycleCondition:
         ]
         assert [e.found for e in check.edges] == [False, False, False, True]
         assert check.satisfied
-        # Absence can only be established by an actual matching run.
-        assert all(e.method == "matching" for e in check.edges if not e.found)
 
     def test_single_candidate_trivial(self):
         check = check_cycle_condition(parse_profile("A"))
         assert check.edges == () and check.satisfied
 
     def test_fast_paths_do_not_change_the_verdicts(self):
+        # Every edge verdict agrees with the brute-force Hall oracle.
         rng = random.Random(13)
         for _ in range(40):
             p = random_profile(rng, max_n=4, max_m=4, min_n=2)
-            fast = check_cycle_condition(p, use_fast_paths=True)
-            slow = check_cycle_condition(p, use_fast_paths=False)
-            assert [e.found for e in fast.edges] == [e.found for e in slow.edges]
-            assert all(e.method == "matching" for e in slow.edges)
+            check = check_cycle_condition(p)
+            for i, e in enumerate(check.edges):
+                g = build_cover_graph(p, i, (i + 1) % p.n)
+                assert e.found == (hall_violator(g) is None)
 
     def test_empty_cycle_check_is_satisfied(self):
         assert CycleCheck(()).satisfied
@@ -191,10 +192,32 @@ class TestVerifier:
                 parallel.profiles_checked,
             )
 
-    def test_fast_paths_do_not_change_the_verdict(self):
-        fast = verify_conjecture(3, 3, use_fast_paths=True)
-        slow = verify_conjecture(3, 3, use_fast_paths=False)
-        assert (fast.status, fast.profiles_checked) == (slow.status, slow.profiles_checked)
+    @pytest.mark.parametrize("cpus, expected", [(64, 6), (2, 2), (None, 1)])
+    def test_pool_is_capped_by_shards_and_cpus(self, monkeypatch, cpus, expected):
+        # An inline stand-in for the process pool records its size and runs
+        # each shard in this process, so no process is started.
+        sizes = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                future = Future()
+                future.set_result(fn(*args))
+                return future
+
+        monkeypatch.setattr("mdx.conjecture.ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        verdict = verify_conjecture(3, 3, workers=64)
+        assert sizes == [expected]  # 3! = 6 first-voter ranks, so 6 shards
+        assert (verdict.status, verdict.profiles_checked) == ("verified", count_canonical(3, 3))
 
     def test_budget_refusal_is_upfront(self):
         verdict = verify_conjecture(4, 4, budget=1)
@@ -204,10 +227,19 @@ class TestVerifier:
 
     def test_counterexample_is_the_first_failing_profile(self, monkeypatch):
         # With a matcher that never finds a perfect matching, the first
-        # canonical profile fails, provided the exact check calls that matcher.
+        # canonical profile the majority shortcut leaves open fails, provided
+        # the exact check calls that matcher.
         never = MatchingResult(0, (), False)
         monkeypatch.setattr("mdx.conjecture.max_matching", lambda g: never)
-        verdict = verify_conjecture(3, 2, use_fast_paths=False)
+        verdict = verify_conjecture(3, 3)
+        expected = next(
+            (position, p)
+            for position, p in enumerate(enumerate_profiles(3, 3), start=1)
+            if all(
+                2 * pairwise_counts(p)[j, (j + 1) % 3] < p.m for j in range(3)
+            )
+        )
         assert verdict.status == "counterexample"
-        assert verdict.profiles_checked == 1
-        assert verdict.counterexample == next(enumerate_profiles(3, 2))
+        assert (verdict.profiles_checked, verdict.counterexample) == expected
+        assert expected[0] == 20
+        assert serialize_profile(expected[1]) == "A > C > B\nB > A > C\nC > B > A\n"

@@ -1,4 +1,4 @@
-"""Cover graphs, matchings, the Hall oracle, and the two fast-path tests."""
+"""Cover graphs, matchings, the Hall oracle, and the two sufficient tests."""
 
 import itertools
 import random
@@ -319,6 +319,23 @@ class TestRankSumTest:
         with pytest.raises(ValueError):
             rank_sum_test(parse_profile(THREE_CYCLE), "B", "B")
 
+    def test_counts_stay_unexpanded(self):
+        p = parse_profile("1000000: A > B > C\n1000000: C > B > A")
+        assert rank_sum_test(p, "A", "B") == 1
+        assert rank_sum_test(p, "A", "C") is None
+        assert rank_sum_test(p, "B", "A") == 1000001
+        assert "orderings" not in vars(p)
+
+    @settings(max_examples=200, deadline=None)
+    @given(clone_heavy_cases(size=40))
+    def test_matches_voter_level_formula(self, case):
+        p, a, b = case
+        n = p.n
+        p_sizes = sorted((p.rank(v, b) + 1 for v in range(p.m)), reverse=True)
+        q_sizes = sorted(n - p.rank(v, a) for v in range(p.m))
+        expect = next((k + 1 for k in range(p.m) if p_sizes[k] + q_sizes[k] <= n), None)
+        assert rank_sum_test(p, a, b) == expect
+
     def test_silent_outcome_implies_perfect_matching(self):
         # The quiet direction is the guarantee; violations are reported as
         # warnings rather than hard failures so a systematic break surfaces
@@ -384,13 +401,6 @@ class TestMatchingUncoveredSet:
         p = counterexample_relax2().profile
         assert set(mask_names(p, matching_uncovered_set(p))) == {"C", "D"}
         assert len(calls) == 1
-
-    @settings(max_examples=50, deadline=None)
-    @given(profiles(max_n=4, max_m=5, min_n=2))
-    def test_fast_paths_change_nothing(self, p):
-        assert matching_uncovered_set(p, use_fast_paths=True) == matching_uncovered_set(
-            p, use_fast_paths=False
-        )
 
     @settings(max_examples=50, deadline=None)
     @given(profiles(max_n=4, max_m=5, min_n=2))
