@@ -225,8 +225,12 @@ def cmd_winner(args) -> tuple[dict, dict, str, int]:
 
 
 def cmd_distortion(args) -> tuple[dict, dict, str, int]:
+    if args.metric is None and (args.k is not None or args.tol is not None):
+        raise CliFailure(EXIT_CODES["parse"], "--k and --tol need --metric")
+    if args.metric is not None and args.witness:
+        raise CliFailure(EXIT_CODES["parse"], "--witness is for LP mode, not --metric")
     p, info = _load_profile(args.profile)
-    _candidate_index(p, args.candidate)
+    ai = _candidate_index(p, args.candidate)
     inputs: dict = {"profile": info, "candidate": args.candidate}
 
     if args.metric is not None:
@@ -235,10 +239,10 @@ def cmd_distortion(args) -> tuple[dict, dict, str, int]:
         try:
             if args.k is not None:
                 inputs["k"] = args.k
-                value = fairness_ratio_fixed(metric, p, args.candidate, args.k, tol=args.tol)
+                value = fairness_ratio_fixed(metric, p, args.candidate, args.k, tol=args.tol or 0.0)
                 label = f"fairness ratio (k={args.k})"
             else:
-                value = instance_distortion(metric, p, args.candidate, tol=args.tol)
+                value = instance_distortion(metric, p, args.candidate, tol=args.tol or 0.0)
                 label = "distortion"
         except InconsistentMetricError as exc:
             raise CliFailure(EXIT_CODES["inconsistent"], str(exc)) from exc
@@ -253,26 +257,15 @@ def cmd_distortion(args) -> tuple[dict, dict, str, int]:
 
     # LP mode: one worst-case LP per opponent.
     cap = _lp_cap()
-    ai = p.index(args.candidate)
-    values: dict[str, Any] = {}
-    witnesses: dict[str, str] = {}
-    worst = 1.0
     try:
-        for b in range(p.n):
-            if b == ai:
-                continue
-            outcome = pairwise_distortion_lp(p, ai, b, cap=cap)
-            name = p.candidates[b]
-            if outcome.status == "unbounded":
-                values[name] = "unbounded"
-                worst = math.inf
-            else:
-                values[name] = outcome.value
-                worst = max(worst, outcome.value)
-                if args.witness and outcome.witness is not None:
-                    witnesses[name] = serialize_metric(outcome.witness)
+        lps = {p.candidates[b]: pairwise_distortion_lp(p, ai, b, cap=cap) for b in range(p.n) if b != ai}
+        witnesses = {
+            name: serialize_metric(lp.witness) for name, lp in lps.items() if args.witness and lp.witness
+        }
     except LpCapError as exc:
         raise CliFailure(EXIT_CODES["rule"], str(exc)) from exc
+    values = {name: lp.ratio for name, lp in lps.items()}
+    worst = max(values.values(), default=1.0)
     result = {
         "mode": "lp",
         "candidate": args.candidate,
@@ -283,7 +276,7 @@ def cmd_distortion(args) -> tuple[dict, dict, str, int]:
     if args.witness:
         result["witnesses"] = witnesses
     lines = [f"max distortion of {args.candidate}: " + ("unbounded" if math.isinf(worst) else f"{worst:.6g}")]
-    for name, value in values.items():
+    for name, value in result["values"].items():
         shown = value if isinstance(value, str) else f"{value:.6g}"
         lines.append(f"  vs {name}: {shown}")
     return inputs, result, "\n".join(lines), EXIT_CODES["ok"]
@@ -513,8 +506,8 @@ def _build_parser() -> argparse.ArgumentParser:
     d.add_argument("candidate")
     d.add_argument("--metric", help="metric CSV; switches to fixed-metric mode")
     d.add_argument("--k", type=int, help="with --metric: ratio on the k largest voter costs")
-    d.add_argument("--tol", type=float, default=0.0, help="consistency tolerance for --metric")
-    d.add_argument("--witness", action="store_true", help="include LP witness metrics")
+    d.add_argument("--tol", type=float, help="with --metric: consistency tolerance (default 0)")
+    d.add_argument("--witness", action="store_true", help="without --metric: include LP witness metrics")
 
     pl = add("pairwise-lp", cmd_pairwise_lp, "the worst-case ratio LP for one ordered pair")
     pl.add_argument("profile", help="profile file, or - for stdin")

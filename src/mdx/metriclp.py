@@ -10,7 +10,8 @@ every voter: at the optimal ratio R, moving the voters of a ballot onto the
 one with the largest d(A,v) - R d(B,v) does not lower the ratio
 (Dinkelbach), and voter-voter distances, read by no objective or ballot
 row, can be shortest paths through candidates, which is how witnesses are
-expanded.  The solver is a self-contained two-phase primal simplex.
+expanded.  The rows are built once per profile and shared by its ordered
+pairs.  The solver is a self-contained two-phase primal simplex.
 
 Distances mix candidates and voters in a single space; voters may tie and
 may sit at distance zero from other points (pseudometric).
@@ -21,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import combinations
 
 import numpy as np
@@ -175,6 +176,11 @@ class LpOutcome:
     profile: VotingProfile | None = field(default=None, repr=False, compare=False)
     reduced: np.ndarray | None = field(default=None, repr=False, compare=False)
     cap: int = DEFAULT_LP_CAP
+
+    @property
+    def ratio(self) -> float:
+        """``value``, or +inf when the ratio is unbounded."""
+        return math.inf if self.status == "unbounded" else self.value
 
     @cached_property
     def witness(self) -> Metric | None:
@@ -347,6 +353,35 @@ def fairness_ratio_fixed(
     return numer / denom
 
 
+@lru_cache(maxsize=1)
+def _inequalities(n: int, orders: tuple[tuple[int, ...], ...]) -> tuple[list, list, np.ndarray]:
+    """Index tables cc, ct and the read-only <= 0 rows, which no pair (a, b) changes."""
+    n_types = len(orders)
+    # Variables: d(c, c') per candidate pair, then d(c, t) per candidate and type.
+    pairs = list(combinations(range(n), 2))
+    cc = [[0] * n for _ in range(n)]
+    for k, (i, j) in enumerate(pairs):
+        cc[i][j] = cc[j][i] = k
+    ct = [[len(pairs) + c * n_types + t for t in range(n_types)] for c in range(n)]
+
+    # Row (u, v, w) reads d(u) - d(v) - d(w) <= 0; a ballot row repeats v.
+    rows = []
+    for t, order in enumerate(orders):
+        rows += [(ct[x][t], ct[y][t], ct[y][t]) for x, y in zip(order, order[1:])]
+        # d(x, t) <= d(y, t) + d(x, y) for each y that t ranks above x.
+        rows += [(ct[x][t], ct[y][t], cc[x][y]) for i, y in enumerate(order) for x in order[i + 1:]]
+    for i, j in pairs:
+        rows += [(cc[i][j], cc[i][k], cc[k][j]) for k in range(n) if k != i and k != j]
+        rows += [(cc[i][j], ct[i][t], ct[j][t]) for t in range(n_types)]
+    rows = np.array(rows)
+    at = np.arange(len(rows))[:, None]
+    a_ub = np.zeros((len(rows), len(pairs) + n * n_types))
+    a_ub[at, rows[:, :1]] = 1.0
+    a_ub[at, rows[:, 1:]] = -1.0
+    a_ub.setflags(write=False)
+    return cc, ct, a_ub
+
+
 def pairwise_distortion_lp(
     p: VotingProfile, a: int | str, b: int | str, cap: int = DEFAULT_LP_CAP
 ) -> LpOutcome:
@@ -363,31 +398,11 @@ def pairwise_distortion_lp(
     n, n_types = p.n, len(p.types)
     if n + n_types > cap:
         raise LpCapError(f"LP needs {n + n_types} points (candidates + ballots), cap is {cap}")
-    # Variables: d(c, c') per candidate pair, then d(c, t) per candidate and type.
-    pairs = list(combinations(range(n), 2))
-    cc = [[0] * n for _ in range(n)]
-    for k, (i, j) in enumerate(pairs):
-        cc[i][j] = cc[j][i] = k
-    ct = [[len(pairs) + c * n_types + t for t in range(n_types)] for c in range(n)]
-
-    # Row (u, v, w) reads d(u) - d(v) - d(w) <= 0; a ballot row repeats v.
-    rows = []
-    for t, (order, _) in enumerate(p.types):
-        rows += [(ct[x][t], ct[y][t], ct[y][t]) for x, y in zip(order, order[1:])]
-        # d(x, t) <= d(y, t) + d(x, y) for each y that t ranks above x.
-        rows += [(ct[x][t], ct[y][t], cc[x][y]) for i, y in enumerate(order) for x in order[i + 1:]]
-    for i, j in pairs:
-        rows += [(cc[i][j], cc[i][k], cc[k][j]) for k in range(n) if k != i and k != j]
-        rows += [(cc[i][j], ct[i][t], ct[j][t]) for t in range(n_types)]
-    rows = np.array(rows)
-    at = np.arange(len(rows))[:, None]
-    a_ub = np.zeros((len(rows), len(pairs) + n * n_types))
-    a_ub[at, rows[:, :1]] = 1.0
-    a_ub[at, rows[:, 1:]] = -1.0
+    cc, ct, a_ub = _inequalities(n, tuple(order for order, _ in p.types))
     objective, a_eq = np.zeros(a_ub.shape[1]), np.zeros((1, a_ub.shape[1]))
     objective[ct[ai]] = a_eq[0, ct[bi]] = [count for _, count in p.types]
 
-    result = solve_lp(objective, a_ub, np.zeros(len(rows)), a_eq, np.ones(1), maximize=True)
+    result = solve_lp(objective, a_ub, np.zeros(len(a_ub)), a_eq, np.ones(1), maximize=True)
     if result.status == "unbounded":
         return LpOutcome("unbounded", None)
     if result.status != "optimal":
@@ -399,16 +414,10 @@ def pairwise_distortion_lp(
 
 
 def max_distortion(p: VotingProfile, a: int | str, cap: int = DEFAULT_LP_CAP) -> float:
-    """max over opponents b of the pairwise LP value; +inf if any unbounded."""
+    """max over opponents b of the pairwise LP ratio; 1.0 with no opponent."""
     ai = p.index(a)
-    if p.n == 1:
-        return 1.0
-    values = []
-    for b in range(p.n):
-        if b != ai:
-            outcome = pairwise_distortion_lp(p, ai, b, cap=cap)
-            values.append(math.inf if outcome.status == "unbounded" else outcome.value)
-    return max(values)
+    ratios = (pairwise_distortion_lp(p, ai, b, cap=cap).ratio for b in range(p.n) if b != ai)
+    return max(ratios, default=1.0)
 
 
 def solve_lp(

@@ -132,22 +132,12 @@ def copeland_winner(g: WeightedTournamentGraph) -> RuleOutcome:
 
 
 def uncovered_set(g: WeightedTournamentGraph) -> int:
-    """Candidates reaching everyone by a one- or two-step majority path."""
-    half = Fraction(1, 2)
-    n = g.n
-    beats = [[x != y and g.weight[x][y] >= half for y in range(n)] for x in range(n)]
-    members = 0
-    for a in range(n):
-        ok = True
-        for b in range(n):
-            if a == b or beats[a][b]:
-                continue
-            if not any(beats[a][c] and beats[c][b] for c in range(n) if c != a and c != b):
-                ok = False
-                break
-        if ok:
-            members |= 1 << a
-    return members
+    """Candidates reaching everyone by a one- or two-step majority path.
+
+    That is the weighted uncovered set at lambda = 1/2: both of its tests
+    then read a weight of at least 1/2.
+    """
+    return weighted_uncovered_set(g, Threshold.rational(1, 2))
 
 
 def uncovered_winner(g: WeightedTournamentGraph) -> RuleOutcome:
@@ -298,13 +288,10 @@ def optimal_lp_winner(
     tied candidate wins.
     """
     n = p.n
-    if n == 1:
-        return RuleOutcome(0, "optimal-lp", {"values": {}, "max_values": {p.candidates[0]: 1.0}})
     pairs = [(a, b) for a in range(n) for b in range(n) if a != b]
 
     def value(pair: tuple[int, int]) -> float:
-        outcome = pairwise_distortion_lp(p, pair[0], pair[1], cap=cap)
-        return float("inf") if outcome.status == "unbounded" else outcome.value
+        return pairwise_distortion_lp(p, pair[0], pair[1], cap=cap).ratio
 
     if workers > 1:
         from concurrent.futures import ThreadPoolExecutor
@@ -313,7 +300,7 @@ def optimal_lp_winner(
             values = dict(zip(pairs, pool.map(value, pairs)))
     else:
         values = {pair: value(pair) for pair in pairs}
-    max_value = {a: max(values[(a, b)] for b in range(n) if b != a) for a in range(n)}
+    max_value = {a: max((values[(a, b)] for b in range(n) if b != a), default=1.0) for a in range(n)}
     # An infinite minimum leaves every candidate tied (inf <= inf + tol).
     best = min(max_value.values())
     winner = _alphabetical_min(

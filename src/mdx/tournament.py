@@ -94,8 +94,8 @@ class WeightedTournamentGraph:
 
     def count(self, x: int, y: int) -> int:
         """Integer voter count |xy| = weight[x][y] * m."""
-        value = self.weight[x][y] * self.m
-        return value.numerator
+        w = self.weight[x][y]
+        return w.numerator * (self.m // w.denominator)
 
 
 @dataclass(frozen=True)

@@ -2,15 +2,19 @@
 
 import io
 import json
+import math
+import random
 
 import pytest
 
 import mdx
+from conftest import random_profile
 from mdx.cli import EXIT_CODES, main
 from mdx.conjecture import Verdict, count_canonical
 from mdx.instances import INSTANCE_BUILDERS, three_cycle
-from mdx.metriclp import parse_metric
-from mdx.profile import parse_profile
+from mdx.metriclp import max_distortion, parse_metric
+from mdx.profile import parse_profile, serialize_profile
+from mdx.rules import optimal_lp_winner
 
 THREE_CYCLE = "A > B > C\nB > C > A\nC > A > B\n"
 
@@ -167,6 +171,43 @@ class TestDistortion:
         code, out, err = run(capsys, "distortion", bad, "A", "--metric", metric_path)
         assert code == EXIT_CODES["inconsistent"] == 4
         assert out == "" and "error:" in err
+
+    def test_max_distortion_matches_library_readings(self, capsys, profile_file):
+        rng = random.Random(11)
+        for _ in range(6):
+            text = serialize_profile(random_profile(rng, min_n=3, max_n=4, max_m=5))
+            path, p = profile_file(text), parse_profile(text)
+            max_values = optimal_lp_winner(p).support["max_values"]
+            for name in p.candidates:
+                value = max_distortion(p, name)
+                _, report = run_json(capsys, "distortion", path, name)
+                assert max_values[name] == value
+                assert report["result"]["max_distortion"] == ("unbounded" if math.isinf(value) else value)
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--k", "1"], "--metric"),
+            (["--tol", "0.5"], "--metric"),
+            (["--metric", "{metric}", "--witness"], "--witness"),
+        ],
+        ids=["k", "tol", "witness"],
+    )
+    def test_flags_of_the_other_mode_are_rejected(self, capsys, tmp_path, profile_file, flags, message):
+        metric_path = str(tmp_path / "fair.metric")
+        run(capsys, "instance", "fairness-table", "--metric-out", metric_path)
+        path = profile_file("C > B > A\nB > A > C\n")
+        argv = [flag.format(metric=metric_path) for flag in flags]
+        code, out, err = run(capsys, "distortion", path, "A", *argv)
+        assert code == EXIT_CODES["parse"]
+        assert out == "" and message in err
+
+    def test_tol_with_metric(self, capsys, tmp_path, profile_file):
+        metric_path = str(tmp_path / "fair.metric")
+        run(capsys, "instance", "fairness-table", "--metric-out", metric_path)
+        fair = profile_file("C > B > A\nB > A > C\n", "fair.profile")
+        code, report = run_json(capsys, "distortion", fair, "A", "--metric", metric_path, "--tol", "0.5")
+        assert code == 0 and report["result"]["value"] == 4.0
 
     def test_unknown_candidate(self, capsys, profile_file):
         path = profile_file(THREE_CYCLE)
