@@ -3,6 +3,8 @@
 
 Prints one row per cell with the verdict, the number of canonical
 profiles checked, and the wall time; optionally dumps the rows as JSON.
+Exits 1 if any cell has a counterexample, or if a verified cell checked
+a number of profiles other than its orbit count.
 
     python3 scripts/verify_grid.py --max-n 5 --max-m 4 --workers 4
 """
@@ -67,6 +69,10 @@ def main(argv: list[str] | None = None) -> int:
                 row["counterexample"] = serialize_profile(verdict.counterexample)
                 print(serialize_profile(verdict.counterexample), end="")
             if verdict.status == "counterexample":
+                bad += 1
+            elif verdict.status == "verified" and verdict.profiles_checked != classes:
+                print(f"  checked {verdict.profiles_checked} canonical profiles, "
+                      f"but the orbit count is {classes}")
                 bad += 1
             rows.append(row)
     if cfg.json_out:

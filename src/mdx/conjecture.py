@@ -12,13 +12,15 @@ voters are interchangeable in every cover graph, and the relabeling
 maps the cycle's edge set onto itself.  Reflections do not preserve the
 edge set (they reverse the cycle) and are deliberately not quotiented.
 
-The hot path is vectorized: profiles are rank tuples over the n!
-orderings, enumerated as nondecreasing sequences, with the last voter's
-rank swept as a numpy vector.  Canonicality under rotation and a sound
-majority shortcut (if at least half the voters prefer X_i to X_(i+1),
-G(X_i, X_(i+1)) always has a perfect matching) are decided per block;
-only the rare survivors run an exact check, with the cover graphs and
-matcher of :mod:`mdx.matching`.
+The hot path is vectorized: profiles are nondecreasing rank tuples over
+the n! orderings, scanned per first rank in blocks: each block is a run
+of tuples that share a prefix and follow one another in lexicographic
+order, held as the rows of one numpy array.  A row is canonical when no rotation of the
+candidate labels, applied to the row and re-sorted, compares below it.
+A sound majority shortcut (if at least half the voters prefer X_i to
+X_(i+1), G(X_i, X_(i+1)) always has a perfect matching) is decided per
+block too; only the rare survivors run an exact check, with the cover
+graphs and matcher of :mod:`mdx.matching`.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from __future__ import annotations
 import math
 import os
 import time
+from bisect import bisect_right
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
@@ -49,6 +52,9 @@ __all__ = [
 ]
 
 DEFAULT_BUDGET = 20_000_000
+# Most rows in one scanned block of rank tuples.  Larger blocks scan the
+# benchmark cells no faster and raise peak memory.
+_BLOCK_ROWS = 1 << 11
 
 
 @dataclass(frozen=True)
@@ -135,17 +141,15 @@ def _tables(n: int):
     X_(j+1 mod n).
     """
     perms = list(permutations(range(n)))
-    rank = {s: i for i, s in enumerate(perms)}
-    size = len(perms)
-    rot = np.zeros((n, size), dtype=np.int32)
-    for k in range(n):
-        for r, s in enumerate(perms):
-            rot[k, r] = rank[tuple((c + k) % n for c in s)]
-    fwd = np.zeros((n, size), dtype=np.int32)
-    for r, s in enumerate(perms):
-        pos = {c: i for i, c in enumerate(s)}
-        for j in range(n):
-            fwd[j, r] = 1 if pos[j] < pos[(j + 1) % n] else 0
+    orders = np.array(perms, dtype=np.int64)
+    # Base-n keys sort like the orderings, so a key's position is its rank.
+    weights = n ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    keys = orders @ weights
+    rot = np.stack([
+        np.searchsorted(keys, (orders + k) % n @ weights) for k in range(n)
+    ]).astype(np.int32)
+    pos = np.argsort(orders, axis=1)
+    fwd = (pos < np.roll(pos, -1, axis=1)).T.astype(np.int32)
     return perms, rot, fwd
 
 
@@ -189,6 +193,49 @@ def enumerate_profiles(n: int, m: int) -> Iterator[VotingProfile]:
         yield VotingProfile(names, tuple(perms[r] for r in seq))
 
 
+def _nondecreasing(size: int, length: int, firsts: int) -> np.ndarray:
+    """Every nondecreasing `length`-tuple over range(size) whose first entry
+    is below `firsts`, in lexicographic order, as the rows of one array."""
+    rows = np.zeros((1, 0), dtype=np.intp)
+    for step in range(length, 0, -1):
+        # Prefix each i to the rows whose first entry is >= i, a suffix.
+        heads = np.arange(firsts if step == 1 else size)
+        starts = np.searchsorted(rows[:, 0], heads) if rows.shape[1] else np.zeros_like(heads)
+        sizes = len(rows) - starts
+        shift = np.repeat(starts - np.cumsum(sizes) + sizes, sizes)
+        rows = np.column_stack((np.repeat(heads, sizes), rows[np.arange(len(shift)) + shift]))
+    return rows
+
+
+def _blocks(size: int, length: int, head: tuple[int, ...] = ()):
+    """Split the nondecreasing `length`-tuples over range(size) that extend
+    `head` into blocks of at most _BLOCK_ROWS rows, in lexicographic order.
+
+    Yields (head, tails): each block is `head` followed by every row of
+    `tails`.  A block takes a run of consecutive first entries; a first
+    entry with too many rows alone joins the head and is split in turn.
+    """
+    if length == 0:
+        yield head, np.zeros((1, 0), dtype=np.intp)
+        return
+
+    def tuples(lo: int) -> int:  # how many draw only from range(lo, size)
+        return math.comb(size - lo + length - 1, length)
+
+    i = head[-1] if head else 0
+    while i < size:
+        # The longest run i..j-1 of first entries whose rows fit one block.
+        j = i - 1 + bisect_right(
+            range(i, size + 1), _BLOCK_ROWS - tuples(i), key=lambda lo: -tuples(lo)
+        )
+        if j == i:
+            yield from _blocks(size, length - 1, (*head, i))
+            j += 1
+        else:
+            yield head, _nondecreasing(size - i, length, j - i) + i
+        i = j
+
+
 def _scan_shard(n: int, m: int, lo: int, hi: int) -> tuple[int, tuple[int, ...] | None]:
     """Scan canonical profiles whose first (smallest) rank lies in [lo, hi).
 
@@ -197,103 +244,51 @@ def _scan_shard(n: int, m: int, lo: int, hi: int) -> tuple[int, tuple[int, ...] 
     any.  On a counterexample the count covers representatives up to
     and including it in enumeration order.
 
-    Canonicality against each rotation is decided on the multiplicity
-    difference D = counts(profile) - counts(rotated profile): the
-    profile is weakly minimal iff D's entry at the smallest index where
-    it is nonzero is positive (more copies of a smaller rank sorts
-    first) or D is identically zero.  For the vectorized last voter t
-    (rotating to u != t), only positions t and u shift, so the first
-    nonzero entry lies among t, u and the first three nonzero positions
-    of the prefix-only difference.
+    Per first rank r0, a rank that some rotation sends below r0 never
+    appears (that rotated profile would sort first), so the rest of the
+    tuple draws from the remaining ranks.  Those tuples are scanned in
+    blocks of at most _BLOCK_ROWS rows, each one (rows, m) array in
+    lexicographic order.  A row is canonical iff, for every rotation,
+    the rotated row once sorted is lexicographically no smaller than the
+    row itself.  A canonical row with no weak majority for any cycle edge
+    (2 * sum of fwd[j] over its ranks >= m) goes, in order, through the
+    exact matching check.
     """
     perms, rot, fwd = _tables(n)
-    size = len(perms)
-    nrot = n - 1
-    rotk = rot[1:]
-    # Two trailing zero slots: `size` is the "no critical position"
-    # sentinel and `size + 1` marks masked-out comparison entries.
-    diff = np.zeros((nrot, size + 2), dtype=np.int32)
-    cnt_fwd = [0] * n
-    prefix: list[int] = []
-
-    def leaf(lo_t: int, hi_t: int) -> tuple[int, tuple[int, ...] | None]:
-        tails = np.arange(lo_t, hi_t, dtype=np.int32)
-        if tails.size == 0:
-            return 0, None
-        canon = np.ones(tails.size, dtype=bool)
-        cand = np.empty((5, tails.size), dtype=np.int32)
-        for k in range(nrot):
-            base = diff[k]
-            crit = np.flatnonzero(base[:size])
-            v0 = crit[0] if crit.size > 0 else size
-            v1 = crit[1] if crit.size > 1 else size
-            v2 = crit[2] if crit.size > 2 else size
-            u = rotk[k, lo_t:hi_t]
-            cand[0] = tails
-            cand[1] = u
-            cand[2] = v0
-            cand[3] = v1
-            cand[4] = v2
-            dv = base[cand] + (cand == tails) - (cand == u)
-            pos = np.where(dv != 0, cand, size + 1)
-            arg = np.argmin(pos, axis=0)
-            cols = np.arange(tails.size)
-            first = pos[arg, cols]
-            val = dv[arg, cols]
-            canon &= (first == size + 1) | (val > 0)
-            if not canon.any():
-                return 0, None
-        checked = int(canon.sum())
-        fast = np.zeros(tails.size, dtype=bool)
-        for j in range(n):
-            fast |= 2 * (cnt_fwd[j] + fwd[j, lo_t:hi_t]) >= m
-        need = canon & ~fast
-        if need.any():
-            for i in np.flatnonzero(need):
-                ranks = (*prefix, int(tails[i]))
-                p = _profile_from_ranks(n, ranks)
+    lowest = rot[1:].min(axis=0)
+    fwd_by_rank = np.ascontiguousarray(fwd.T)
+    checked = 0
+    for r0 in range(lo, hi):
+        if lowest[r0] < r0:
+            continue
+        ranks = np.flatnonzero(lowest[r0:] >= r0) + r0
+        # via[r] = k > 0 when rotation k sends rank r to r0.  A row holding
+        # no such rank rotates to ranks above r0 only, so it sorts after
+        # the row: only the (row, rotation) pairs that reach r0 are tested.
+        via = np.zeros(len(perms), dtype=np.intp)
+        via[rot[:0:-1, r0]] = np.arange(1, n)
+        for head, tails in _blocks(ranks.size, m - 1):
+            rows = ranks[np.column_stack((np.tile([0, *head], (len(tails), 1)), tails))]
+            hits = via[rows]
+            at, col = np.nonzero(hits)
+            sub = rows[at]
+            turned = np.sort(rot[hits[at, col][:, None], sub], axis=1)
+            first = (turned != sub).argmax(axis=1)
+            pair = np.arange(len(at))
+            canon = np.ones(len(rows), dtype=bool)
+            canon[at[turned[pair, first] < sub[pair, first]]] = False
+            keep = np.flatnonzero(canon)
+            votes = sum(fwd_by_rank[ranks_at] for ranks_at in rows[keep].T)
+            for pos in np.flatnonzero((2 * votes < m).all(axis=1)):
+                found = tuple(rows[keep[pos]].tolist())
+                p = _profile_from_ranks(n, found)
                 if not any(
                     max_matching(build_cover_graph(p, j, (j + 1) % n)).perfect
                     for j in range(n)
                 ):
-                    return int(canon[: i + 1].sum()), ranks
-        return checked, None
-
-    def descend(
-        depth: int, lo_d: int, hi_d: int, runmin: np.ndarray | None
-    ) -> tuple[int, tuple[int, ...] | None]:
-        total = 0
-        for r in range(lo_d, hi_d):
-            newmin = rotk[:, r] if runmin is None else np.minimum(runmin, rotk[:, r])
-            first_rank = prefix[0] if prefix else r
-            # Some rotation already produced a rank below the leading
-            # one; every extension sorts strictly above its rotation.
-            if (newmin < first_rank).any():
-                continue
-            prefix.append(r)
-            for j in range(n):
-                cnt_fwd[j] += int(fwd[j, r])
-            for k in range(nrot):
-                diff[k, r] += 1
-                diff[k, rotk[k, r]] -= 1
-            if depth == m - 2:
-                count, ce = leaf(r, size)
-            else:
-                count, ce = descend(depth + 1, r, size, newmin)
-            prefix.pop()
-            for j in range(n):
-                cnt_fwd[j] -= int(fwd[j, r])
-            for k in range(nrot):
-                diff[k, r] -= 1
-                diff[k, rotk[k, r]] += 1
-            total += count
-            if ce is not None:
-                return total, ce
-        return total, None
-
-    if m == 1:
-        return leaf(lo, hi)
-    return descend(0, lo, hi, None)
+                    return checked + int(pos) + 1, found
+            checked += keep.size
+    return checked, None
 
 
 def _shard_ranges(size: int, workers: int) -> list[tuple[int, int]]:

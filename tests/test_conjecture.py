@@ -1,15 +1,21 @@
 """The cycle-matching condition and its exhaustive verifier."""
 
+import importlib.util
 import itertools
 import os
 import random
+import sys
 from concurrent.futures import Future
+from pathlib import Path
 
 import pytest
 
 from conftest import random_profile
 from mdx.conjecture import (
     CycleCheck,
+    Verdict,
+    _blocks,
+    _tables,
     check_cycle_condition,
     count_canonical,
     enumerate_profiles,
@@ -166,6 +172,67 @@ class TestCanonicalCounting:
             assert check_cycle_condition(q).satisfied == expected
 
 
+class TestTables:
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_tables_match_the_loop_definition(self, n):
+        perms, rot, fwd = _tables(n)
+        assert perms == list(itertools.permutations(range(n)))
+        rank = {s: i for i, s in enumerate(perms)}
+        for k in range(n):
+            for r, s in enumerate(perms):
+                assert rot[k, r] == rank[tuple((c + k) % n for c in s)]
+        for r, s in enumerate(perms):
+            pos = {c: i for i, c in enumerate(s)}
+            for j in range(n):
+                assert fwd[j, r] == (1 if pos[j] < pos[(j + 1) % n] else 0)
+
+
+def no_weak_majority_edge(p: VotingProfile) -> bool:
+    counts = pairwise_counts(p)
+    return all(2 * counts[j, (j + 1) % p.n] < p.m for j in range(p.n))
+
+
+class TestBlockScan:
+    @pytest.mark.parametrize("cap", [1, 2, 7, 50])
+    @pytest.mark.parametrize("size, length", [(1, 3), (5, 0), (5, 1), (6, 3), (9, 4)])
+    def test_blocks_tile_the_tuples_in_order(self, monkeypatch, cap, size, length):
+        # Concatenated, the blocks are every nondecreasing tuple in
+        # lexicographic order, and none holds more than the cap (a single
+        # row when the whole tuple is fixed by the head).
+        monkeypatch.setattr("mdx.conjecture._BLOCK_ROWS", cap)
+        tuples = []
+        for head, tails in _blocks(size, length):
+            assert len(tails) <= cap and tails.shape[1] == length - len(head)
+            tuples += [(*head, *row) for row in tails.tolist()]
+        assert tuples == list(itertools.combinations_with_replacement(range(size), length))
+
+    @pytest.mark.parametrize("cap", [1, 5, 60])
+    @pytest.mark.parametrize("n, m", [(3, 5), (4, 3), (5, 2)])
+    def test_split_blocks_count_every_class(self, monkeypatch, cap, n, m):
+        monkeypatch.setattr("mdx.conjecture._BLOCK_ROWS", cap)
+        verdict = verify_conjecture(n, m)
+        assert (verdict.status, verdict.profiles_checked) == ("verified", count_canonical(n, m))
+
+    @pytest.mark.parametrize("cap", [1, 5, None])
+    @pytest.mark.parametrize("n, m", [(3, 3), (3, 5), (4, 3)])
+    def test_counterexample_follows_enumeration_order(self, monkeypatch, cap, n, m):
+        # With a matcher that never matches, the counterexample is the first
+        # enumerated profile without a weak-majority cycle edge, however the
+        # scan is split into blocks (None keeps the module's cap).
+        if cap is not None:
+            monkeypatch.setattr("mdx.conjecture._BLOCK_ROWS", cap)
+        never = MatchingResult(0, (), False)
+        monkeypatch.setattr("mdx.conjecture.max_matching", lambda g: never)
+        expected = next(
+            (position, p)
+            for position, p in enumerate(enumerate_profiles(n, m), start=1)
+            if no_weak_majority_edge(p)
+        )
+        verdict = verify_conjecture(n, m)
+        assert verdict.status == "counterexample"
+        assert (verdict.profiles_checked, verdict.counterexample) == expected
+
+
 class TestVerifier:
     @pytest.mark.parametrize("n, m", [(2, 5), (2, 6), (3, 1), (3, 2), (3, 3), (3, 4), (4, 3)])
     def test_small_grids_verified(self, n, m):
@@ -235,11 +302,24 @@ class TestVerifier:
         expected = next(
             (position, p)
             for position, p in enumerate(enumerate_profiles(3, 3), start=1)
-            if all(
-                2 * pairwise_counts(p)[j, (j + 1) % 3] < p.m for j in range(3)
-            )
+            if no_weak_majority_edge(p)
         )
         assert verdict.status == "counterexample"
         assert (verdict.profiles_checked, verdict.counterexample) == expected
         assert expected[0] == 20
         assert serialize_profile(expected[1]) == "A > C > B\nB > A > C\nC > B > A\n"
+
+
+class TestGridScript:
+    def test_exit_code_cross_checks_the_orbit_count(self, monkeypatch, capsys):
+        path = Path(__file__).resolve().parents[1] / "scripts" / "verify_grid.py"
+        spec = importlib.util.spec_from_file_location("verify_grid", path)
+        script = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, "verify_grid", script)  # for its dataclass
+        spec.loader.exec_module(script)
+        argv = ["--max-n", "3", "--max-m", "2"]
+        assert script.main(argv) == 0
+        short = lambda n, m, **kw: Verdict("verified", n, m, count_canonical(n, m) - 1, 0.0)
+        monkeypatch.setattr(script, "verify_conjecture", short)
+        assert script.main(argv) == 1
+        assert "orbit count" in capsys.readouterr().out
