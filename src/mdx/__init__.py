@@ -27,7 +27,6 @@ from mdx.metriclp import (
     serialize_metric,
 )
 from mdx.profile import (
-    PairwiseMatrix,
     ProfileParseError,
     VotingProfile,
     pairwise_counts,
@@ -55,7 +54,6 @@ __all__ = [
     "InconsistentMetricError",
     "Metric",
     "NamedInstance",
-    "PairwiseMatrix",
     "ProfileParseError",
     "RULE_IDS",
     "RuleOutcome",

@@ -49,6 +49,7 @@ from mdx.metriclp import (
 from mdx.profile import (
     ProfileParseError,
     VotingProfile,
+    default_candidates,
     iter_set,
     parse_profile,
     serialize_profile,
@@ -422,8 +423,6 @@ def cmd_instance(args) -> tuple[dict, dict, str, int]:
             base = args.base.split(">") if args.base else None
             n = args.n if args.n is not None else (len(base) if base else 3)
             if base is None:
-                from mdx.profile import default_candidates
-
                 base = list(default_candidates(n))
             instance = builder(base, n)
         elif args.name == "lower-left":
@@ -435,8 +434,6 @@ def cmd_instance(args) -> tuple[dict, dict, str, int]:
         else:
             instance = builder()
     except ValueError as exc:
-        if isinstance(exc, CliFailure):
-            raise
         raise CliFailure(EXIT_CODES["parse"], str(exc)) from exc
     profile_text = serialize_profile(instance.profile)
     inputs = {

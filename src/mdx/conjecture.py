@@ -244,23 +244,24 @@ def _scan_shard(n: int, m: int, lo: int, hi: int) -> tuple[int, tuple[int, ...] 
     any.  On a counterexample the count covers representatives up to
     and including it in enumeration order.
 
-    Per first rank r0, a rank that some rotation sends below r0 never
-    appears (that rotated profile would sort first), so the rest of the
-    tuple draws from the remaining ranks.  Those tuples are scanned in
-    blocks of at most _BLOCK_ROWS rows, each one (rows, m) array in
+    Only ranks below (n-1)!, the orderings that start with candidate 0,
+    can lead a canonical profile: each is the lowest rank of its
+    rotation orbit, so [lo, hi) lies within range((n-1)!).  Per first
+    rank r0, a rank that some rotation sends below r0 never appears
+    (that rotated profile would sort first), so the rest of the tuple
+    draws from the remaining ranks.  Those tuples are scanned in blocks
+    of at most _BLOCK_ROWS rows, each one (rows, m) array in
     lexicographic order.  A row is canonical iff, for every rotation,
     the rotated row once sorted is lexicographically no smaller than the
-    row itself.  A canonical row with no weak majority for any cycle edge
-    (2 * sum of fwd[j] over its ranks >= m) goes, in order, through the
-    exact matching check.
+    row itself.  A canonical row with no weak majority for any cycle
+    edge (2 * sum of fwd[j] over its ranks >= m) goes, in order, through
+    the exact matching check.
     """
     perms, rot, fwd = _tables(n)
     lowest = rot[1:].min(axis=0)
     fwd_by_rank = np.ascontiguousarray(fwd.T)
     checked = 0
     for r0 in range(lo, hi):
-        if lowest[r0] < r0:
-            continue
         ranks = np.flatnonzero(lowest[r0:] >= r0) + r0
         # via[r] = k > 0 when rotation k sends rank r to r0.  A row holding
         # no such rank rotates to ranks above r0 only, so it sorts after
@@ -305,18 +306,19 @@ def verify_conjecture(
 ) -> Verdict:
     """Check the cycle condition on every canonical (n, m) profile.
 
-    Work shards by first-voter rank range across at most `workers`
-    processes, no more than there are shards or CPUs; results are combined
-    in shard order, so the verdict and the count are identical for any
-    worker count.  If the class count exceeds `budget`, returns status
-    "budget-exceeded" without scanning.
+    Work shards by first-voter rank range, over the (n-1)! ranks that can
+    lead a canonical profile, across at most `workers` processes, no more
+    than there are shards or CPUs; results are combined in shard order,
+    so the verdict and the count are identical for any worker count.  If
+    the class count exceeds `budget`, returns status "budget-exceeded"
+    without scanning.
     """
     if n < 2 or m < 1:
         raise ValueError("need n >= 2 candidates and m >= 1 voters")
     start = time.perf_counter()
     if count_canonical(n, m) > budget:
         return Verdict("budget-exceeded", n, m, 0, time.perf_counter() - start)
-    size = math.factorial(n)
+    size = math.factorial(n - 1)
     checked = 0
     ce: tuple[int, ...] | None = None
     if workers <= 1:

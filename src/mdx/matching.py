@@ -340,7 +340,7 @@ def matching_uncovered_set(p: VotingProfile) -> int:
     members = 0
     for a in range(n):
         if all(
-            2 * counts[a, b] >= p.m or max_matching(build_cover_graph(p, a, b)).perfect
+            2 * counts[a][b] >= p.m or max_matching(build_cover_graph(p, a, b)).perfect
             for b in range(n)
             if b != a
         ):

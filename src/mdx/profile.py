@@ -28,7 +28,6 @@ from typing import Iterable, Iterator
 __all__ = [
     "ProfileParseError",
     "VotingProfile",
-    "PairwiseMatrix",
     "parse_profile",
     "serialize_profile",
     "pairwise_counts",
@@ -147,18 +146,6 @@ class VotingProfile:
         return self.orderings[v].index(self.index(x))
 
 
-@dataclass(frozen=True)
-class PairwiseMatrix:
-    """counts[x][y] = number of voters ranking x above y; diagonal 0."""
-
-    counts: tuple[tuple[int, ...], ...]
-    m: int
-
-    def __getitem__(self, pair: tuple[int, int]) -> int:
-        x, y = pair
-        return self.counts[x][y]
-
-
 def parse_profile(text: str) -> VotingProfile:
     """Parse profile text.  Raises ProfileParseError with a line number."""
     candidates: tuple[str, ...] | None = None
@@ -209,8 +196,8 @@ def serialize_profile(p: VotingProfile) -> str:
     return "\n".join(lines) + "\n"
 
 
-def pairwise_counts(p: VotingProfile) -> PairwiseMatrix:
-    """Count, for every ordered pair (x, y), the voters ranking x above y.
+def pairwise_counts(p: VotingProfile) -> tuple[tuple[int, ...], ...]:
+    """Rows ``counts[x][y]``: the voters ranking x above y; diagonal 0.
 
     Runs are grouped by ordering first (``p.types``), so the cost is one pass
     over the runs plus n^2 per distinct ordering, whatever the voter count.
@@ -222,7 +209,7 @@ def pairwise_counts(p: VotingProfile) -> PairwiseMatrix:
             row = counts[x]
             for y in order[i + 1:]:
                 row[y] += count
-    return PairwiseMatrix(tuple(tuple(row) for row in counts), p.m)
+    return tuple(tuple(row) for row in counts)
 
 
 def triple_count(p: VotingProfile, x: int | str, y: int | str, z: int | str) -> int:

@@ -5,11 +5,12 @@ lambda-weighted uncovered set with its golden-ratio instantiation, the
 matching uncovered set rule, and the LP-optimal rule that minimizes the
 per-candidate worst-case distortion value.
 
-All threshold comparisons against the irrational golden ratio
-phi = (sqrt(5)-1)/2 are done with exact integer arithmetic: since
-sqrt(5)*m is never an integer, inequalities can be decided by squaring.
-Every rule breaks remaining ties by the lexicographically smallest
-candidate name, so outcomes are fully deterministic.
+Tournament rules decide on the graph's integer counts |XY|: comparing a
+weight |XY|/m with 1/2, a rational or another weight compares integers.
+Against the irrational golden ratio phi = (sqrt(5)-1)/2, since sqrt(5)*m
+is never an integer, inequalities are decided exactly by squaring.  Every
+rule breaks remaining ties by the lexicographically smallest candidate
+name, so outcomes are fully deterministic.
 """
 
 from __future__ import annotations
@@ -120,9 +121,8 @@ def _alphabetical_min(names: tuple[str, ...], indices) -> int:
 
 def copeland_winner(g: WeightedTournamentGraph) -> RuleOutcome:
     """Most pairwise wins; a weight of exactly 1/2 counts as a win for both."""
-    half = Fraction(1, 2)
     scores = [
-        sum(1 for y in range(g.n) if y != x and g.weight[x][y] >= half)
+        sum(1 for y in range(g.n) if y != x and 2 * g.counts[x][y] >= g.m)
         for x in range(g.n)
     ]
     top = max(scores)
@@ -155,8 +155,7 @@ def weighted_uncovered_set(g: WeightedTournamentGraph, lam: Threshold) -> int:
     |CB| >= lambda*m.  For lambda < 1/2 the direct clause tightens to
     |AB| >= lambda*m; the two-step clause is unchanged.
     """
-    n, m = g.n, g.m
-    counts = [[g.count(x, y) for y in range(n)] for x in range(n)]
+    n, m, counts = g.n, g.m, g.counts
     direct = lam.at_least_lam if lam.below_half() else lam.at_least_complement
     members = 0
     for a in range(n):
@@ -205,18 +204,17 @@ def matching_uncovered_winner(p: VotingProfile) -> RuleOutcome:
 def ranked_pairs_winner(g: WeightedTournamentGraph) -> RuleOutcome:
     """Lock majority edges by decreasing weight unless they close a cycle.
 
-    Only strict majorities (weight > 1/2) are edges; exact ties contribute
-    nothing.  Equal-weight edges are considered in order of (source name,
+    Only strict majorities (2 * count > m) are edges; exact ties contribute
+    nothing.  Equal-count edges are considered in order of (source name,
     target name).  The winner is the alphabetically smallest vertex with no
     locked incoming edge.
     """
-    n = g.n
-    half = Fraction(1, 2)
+    n, m = g.n, g.m
     edges = [
-        (g.weight[x][y], x, y)
+        (g.counts[x][y], x, y)
         for x in range(n)
         for y in range(n)
-        if x != y and g.weight[x][y] > half
+        if x != y and 2 * g.counts[x][y] > m
     ]
     edges.sort(key=lambda e: (-e[0], g.names[e[1]], g.names[e[2]]))
     locked: list[list[bool]] = [[False] * n for _ in range(n)]
@@ -235,12 +233,12 @@ def ranked_pairs_winner(g: WeightedTournamentGraph) -> RuleOutcome:
         return False
 
     trail = []
-    for weight, x, y in edges:
+    for count, x, y in edges:
         accepted = not reaches(y, x)
         if accepted:
             locked[x][y] = True
         trail.append(
-            {"from": g.names[x], "to": g.names[y], "weight": weight, "accepted": accepted}
+            {"from": g.names[x], "to": g.names[y], "weight": Fraction(count, m), "accepted": accepted}
         )
     sources = [x for x in range(n) if not any(locked[y][x] for y in range(n))]
     winner = _alphabetical_min(g.names, sources)
@@ -248,22 +246,19 @@ def ranked_pairs_winner(g: WeightedTournamentGraph) -> RuleOutcome:
 
 
 def schulze_winner(g: WeightedTournamentGraph) -> RuleOutcome:
-    """Widest-path strengths; winner defends p(X,Y) >= p(Y,X) against all Y."""
+    """Widest-path strengths; winner defends p(X,Y) >= p(Y,X) against all Y.
+
+    Paths widen over counts.  No index is skipped: an update with x == k
+    or y == k is a no-op, one with y == x touches only the unread diagonal.
+    """
     n = g.n
-    strength = [[g.weight[x][y] for y in range(n)] for x in range(n)]
-    for k in range(n):
-        for x in range(n):
-            if x == k:
-                continue
-            sxk = strength[x][k]
-            row_k = strength[k]
-            row_x = strength[x]
+    strength = [list(row) for row in g.counts]
+    for k, row_k in enumerate(strength):
+        for row_x in strength:
+            sxk = row_x[k]
             for y in range(n):
-                if y == k or y == x:
-                    continue
-                via = min(sxk, row_k[y])
-                if via > row_x[y]:
-                    row_x[y] = via
+                if sxk > row_x[y] and row_k[y] > row_x[y]:
+                    row_x[y] = min(sxk, row_k[y])
     winners = [
         x
         for x in range(n)
@@ -272,7 +267,7 @@ def schulze_winner(g: WeightedTournamentGraph) -> RuleOutcome:
     winner = _alphabetical_min(g.names, winners)
     support = {
         "strength": {
-            g.names[x]: {g.names[y]: strength[x][y] for y in range(n) if y != x}
+            g.names[x]: {g.names[y]: Fraction(strength[x][y], g.m) for y in range(n) if y != x}
             for x in range(n)
         }
     }

@@ -2,9 +2,9 @@
 
 The weighted tournament graph of a profile has an edge of weight
 ``|XY|/m`` from X to Y, where ``|XY|`` counts voters preferring X to Y.
-Weights are exact :class:`fractions.Fraction` values throughout; every
-comparison made downstream (majority edges, thresholds, interval
-subtraction) is exact.
+It stores the integer counts and m, so every decision downstream compares
+counts exactly; ``weight`` is a read-only :class:`fractions.Fraction` view
+for printing and interval subtraction.
 
 A graph is cyclically symmetric when some single n-cycle permutation tau of
 the candidates preserves every weight.  Graphs can also be loaded from a
@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from mdx.profile import VotingProfile, pairwise_counts
 
@@ -47,17 +48,28 @@ class SymmetrySearchError(ValueError):
     """Symmetry search too large; supply tau to check_cyclic_symmetry instead."""
 
 
+def _count_fault(names: tuple[str, ...], counts: tuple[tuple[int, ...], ...], m: int) -> tuple[int, str] | None:
+    """(row, message) of the first row with a nonzero diagonal count or a
+    pair, against an earlier row, that is negative or does not sum to m."""
+    for y, row in enumerate(counts):
+        if row[y] != 0:
+            return y, "diagonal weights must be 0"
+        for x in range(y):
+            if counts[x][y] < 0 or row[x] < 0 or counts[x][y] + row[x] != m:
+                return y, f"weights for pair ({names[x]},{names[y]}) must be in [0,1] and sum to 1"
+    return None
+
+
 @dataclass(frozen=True)
 class WeightedTournamentGraph:
-    """Exact pairwise-majority weights.
+    """Exact pairwise-majority counts over a common denominator m.
 
-    weight[x][y] = fraction of voters preferring x to y; weight[x][y] +
-    weight[y][x] = 1 off the diagonal.  ``m`` is a common denominator, so
-    ``weight[x][y] * m`` is always an integer count.
+    counts[x][y] = number of voters preferring x to y, so the edge weight
+    is counts[x][y] / m; counts[x][y] + counts[y][x] = m off the diagonal.
     """
 
     names: tuple[str, ...]
-    weight: tuple[tuple[Fraction, ...], ...]
+    counts: tuple[tuple[int, ...], ...]
     m: int
 
     def __post_init__(self):
@@ -66,17 +78,16 @@ class WeightedTournamentGraph:
             raise ValueError("candidate names must be distinct and nonempty")
         if self.m < 1:
             raise ValueError("voter count m must be positive")
-        if len(self.weight) != n or any(len(row) != n for row in self.weight):
-            raise ValueError("weight matrix must be n x n")
-        for x in range(n):
-            if self.weight[x][x] != 0:
-                raise ValueError("diagonal weights must be 0")
-            for y in range(x + 1, n):
-                w, wr = self.weight[x][y], self.weight[y][x]
-                if w < 0 or w > 1 or w + wr != 1:
-                    raise ValueError(f"weights for pair ({self.names[x]},{self.names[y]}) must be in [0,1] and sum to 1")
-                if (w * self.m).denominator != 1:
-                    raise ValueError("every weight must be an integer count over m")
+        if len(self.counts) != n or any(len(row) != n for row in self.counts):
+            raise ValueError("count matrix must be n x n")
+        fault = _count_fault(self.names, self.counts, self.m)
+        if fault is not None:
+            raise ValueError(fault[1])
+
+    @cached_property
+    def weight(self) -> tuple[tuple[Fraction, ...], ...]:
+        """weight[x][y] = counts[x][y] / m as an exact Fraction."""
+        return tuple(tuple(Fraction(c, self.m) for c in row) for row in self.counts)
 
     @property
     def n(self) -> int:
@@ -92,11 +103,6 @@ class WeightedTournamentGraph:
             raise KeyError(f"candidate index {x} out of range")
         return x
 
-    def count(self, x: int, y: int) -> int:
-        """Integer voter count |xy| = weight[x][y] * m."""
-        w = self.weight[x][y]
-        return w.numerator * (self.m // w.denominator)
-
 
 @dataclass(frozen=True)
 class CyclicSymmetryWitness:
@@ -110,18 +116,8 @@ class CyclicSymmetryWitness:
 
 
 def build_tournament(p: VotingProfile) -> WeightedTournamentGraph:
-    """Weighted tournament graph of a profile, weights exactly counts/m."""
-    counts = pairwise_counts(p)
-    m = Fraction(p.m)
-    weight = tuple(
-        tuple(Fraction(c) / m for c in row) for row in counts.counts
-    )
-    return WeightedTournamentGraph(p.candidates, weight, p.m)
-
-
-def _parse_entry(token: str) -> Fraction:
-    # Fraction parses both 'p/q' and decimal strings exactly.
-    return Fraction(token)
+    """Weighted tournament graph of a profile: its pairwise counts over p.m."""
+    return WeightedTournamentGraph(p.candidates, pairwise_counts(p), p.m)
 
 
 def parse_graph(text: str) -> WeightedTournamentGraph:
@@ -134,38 +130,39 @@ def parse_graph(text: str) -> WeightedTournamentGraph:
     """
     names: tuple[str, ...] | None = None
     rows: list[tuple[Fraction, ...]] = []
-    header_seen = False
+    row_lines: list[int] = []
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        if not header_seen:
+        if names is None:
             if not line.startswith("names:"):
                 raise GraphParseError("expected header 'names: A,B,...'", line_no)
             names = tuple(tok.strip() for tok in line[len("names:"):].split(","))
-            if any(not tok for tok in names):
-                raise GraphParseError("empty candidate name in header", line_no)
-            header_seen = True
+            if not all(names) or len(set(names)) != len(names):
+                raise GraphParseError("header names must be nonempty and distinct", line_no)
             continue
         tokens = line.split()
-        assert names is not None
         if len(tokens) != len(names):
             raise GraphParseError(f"expected {len(names)} entries, found {len(tokens)}", line_no)
         try:
-            rows.append(tuple(_parse_entry(tok) for tok in tokens))
+            # Fraction parses both 'p/q' and decimal strings exactly.
+            rows.append(tuple(Fraction(tok) for tok in tokens))
         except (ValueError, ZeroDivisionError):
             raise GraphParseError("entries must be rationals p/q or decimals", line_no) from None
+        row_lines.append(line_no)
         if len(rows) == len(names):
             break
     if names is None:
         raise GraphParseError("missing header line", 1)
     if len(rows) != len(names):
         raise GraphParseError(f"expected {len(names)} matrix rows, found {len(rows)}", text.count("\n") + 1)
-    m = 1
-    for row in rows:
-        for entry in row:
-            m = m * entry.denominator // math.gcd(m, entry.denominator)
-    return WeightedTournamentGraph(names, tuple(rows), m)
+    m = math.lcm(*(w.denominator for row in rows for w in row))
+    counts = tuple(tuple(int(w * m) for w in row) for row in rows)
+    fault = _count_fault(names, counts, m)
+    if fault is not None:
+        raise GraphParseError(fault[1], row_lines[fault[0]])
+    return WeightedTournamentGraph(names, counts, m)
 
 
 def serialize_graph(g: WeightedTournamentGraph) -> str:
@@ -189,7 +186,7 @@ def check_cyclic_symmetry(g: WeightedTournamentGraph, tau: tuple[int, ...]) -> b
         v = tau[v]
     if seen != n:
         return False
-    w = g.weight
+    w = g.counts
     for x in range(n):
         for y in range(n):
             if w[x][y] != w[tau[x]][tau[y]]:
@@ -213,7 +210,7 @@ def find_cyclic_symmetry(
         )
     if n == 1:
         return CyclicSymmetryWitness((0,))
-    w = g.weight
+    w = g.counts
 
     # chain[k] is the vertex placed at position k of the cycle; tau maps
     # chain[k] to chain[k+1] (cyclically).  Position 0 is vertex 0.
@@ -234,7 +231,7 @@ def find_cyclic_symmetry(
                 continue
             # Placing c at position k adds the constraints that every pair
             # (chain[i], chain[k-1]) map onto (chain[i+1], c) with equal
-            # weight; complements cover the reversed pairs.
+            # count; complements cover the reversed pairs.
             if any(w[chain[i + 1]][c] != w[chain[i]][chain[k - 1]] for i in range(k - 1)):
                 continue
             chain[k] = c

@@ -61,7 +61,7 @@ def strict_condorcet_winner(p: VotingProfile) -> int | None:
     """The candidate beating every other by strict majority, if any."""
     counts = pairwise_counts(p)
     for x in range(p.n):
-        if all(2 * counts[x, y] > p.m for y in range(p.n) if y != x):
+        if all(2 * counts[x][y] > p.m for y in range(p.n) if y != x):
             return x
     return None
 

@@ -187,10 +187,10 @@ def criterion_05() -> str:
             for b in range(p.n):
                 if a == b:
                     continue
-                one = thr.at_least_complement(g.count(a, b), p.m)
+                one = thr.at_least_complement(g.counts[a][b], p.m)
                 two = any(
-                    thr.at_least_complement(g.count(a, c), p.m)
-                    and thr.at_least_lam(g.count(c, b), p.m)
+                    thr.at_least_complement(g.counts[a][c], p.m)
+                    and thr.at_least_lam(g.counts[c][b], p.m)
                     for c in range(p.n)
                     if c not in (a, b)
                 )

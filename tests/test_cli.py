@@ -4,6 +4,7 @@ import io
 import json
 import math
 import random
+from pathlib import Path
 
 import pytest
 
@@ -11,7 +12,7 @@ import mdx
 from conftest import random_profile
 from mdx.cli import EXIT_CODES, main
 from mdx.conjecture import Verdict, count_canonical
-from mdx.instances import INSTANCE_BUILDERS, three_cycle
+from mdx.instances import INSTANCE_BUILDERS, counterexample_relax2, three_cycle
 from mdx.metriclp import max_distortion, parse_metric
 from mdx.profile import parse_profile, serialize_profile
 from mdx.rules import optimal_lp_winner
@@ -328,6 +329,57 @@ class TestTournament:
         path.write_text("names: A,B\n0 1\n")
         code, _, err = run(capsys, "tournament", str(path), "--graph")
         assert code == 2 and "line" in err
+
+    @pytest.mark.parametrize(
+        "text, line",
+        [
+            ("names: A,B\n0 2/3\n2/3 0\n", 3),    # a pair does not sum to 1
+            ("names: A,B\n1/2 1/2\n1/2 0\n", 2),  # a nonzero diagonal entry
+            ("names: A,A\n0 1/2\n1/2 0\n", 1),    # a repeated name
+        ],
+        ids=["pair-sum", "diagonal", "repeated-name"],
+    )
+    def test_invalid_graph_is_a_parse_error(self, capsys, tmp_path, text, line):
+        path = tmp_path / "invalid.graph"
+        path.write_text(text)
+        code, out, err = run(capsys, "tournament", str(path), "--graph")
+        assert code == 2 and out == ""
+        assert f"line {line}:" in err and "Traceback" not in err
+
+
+# Seven candidates, five ballot types, 10,000 voters: equal-weight edges in
+# ranked pairs and long widest paths in Schulze.
+CLONES7 = """\
+3100: A > B > C > D > E > F > G
+2900: D > E > F > G > A > B > C
+1700: G > F > C > B > A > E > D
+1250: C > A > G > E > B > D > F
+1050: F > D > B > A > G > C > E
+"""
+
+GOLDEN_COMMANDS = [
+    *(("winner", "-", "--rule", rule) for rule in ("copeland", "ranked-pairs", "schulze", "weighted-uncovered")),
+    ("tournament", "-", "--check-symmetry"),
+]
+
+
+def _golden_reports() -> dict[str, str]:
+    lines = (Path(__file__).parent / "golden_reports.txt").read_text().splitlines()
+    return {key[2:]: line for key, line in zip(lines, lines[1:]) if line.startswith("{")}
+
+
+class TestGoldenReports:
+    """Reports pinned byte for byte: tournament weights, Copeland scores,
+    ranked-pairs trails and Schulze strengths print as they always have."""
+
+    @pytest.mark.parametrize("argv", GOLDEN_COMMANDS, ids=" ".join)
+    @pytest.mark.parametrize("name", ["counterexample-relax2", "clones7"])
+    def test_report_is_byte_identical(self, capsys, monkeypatch, name, argv):
+        text = CLONES7 if name == "clones7" else serialize_profile(counterexample_relax2().profile)
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        code, out, err = run(capsys, *argv)
+        assert code == 0 and err == ""
+        assert out == _golden_reports()[f"{name}: {' '.join(argv)}"] + "\n"
 
 
 class TestSetCommands:

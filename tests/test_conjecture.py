@@ -2,6 +2,7 @@
 
 import importlib.util
 import itertools
+import math
 import os
 import random
 import sys
@@ -85,7 +86,7 @@ class TestMajorityShortcut:
             counts = pairwise_counts(p)
             for a in range(p.n):
                 for b in range(p.n):
-                    if a != b and 2 * counts[a, b] >= p.m:
+                    if a != b and 2 * counts[a][b] >= p.m:
                         assert max_matching(build_cover_graph(p, a, b)).perfect
                         hits += 1
         assert hits > 100
@@ -187,9 +188,21 @@ class TestTables:
                 assert fwd[j, r] == (1 if pos[j] < pos[(j + 1) % n] else 0)
 
 
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_only_the_first_factorial_n_minus_1_ranks_lead_a_class(self, n):
+        # Every rotation moves a rank below (n-1)! (an ordering that starts
+        # with candidate 0) upwards and every other rank downwards, so only
+        # those ranks can be the least rank of a canonical profile.
+        _, rot, _ = _tables(n)
+        lowest = rot[1:].min(axis=0)
+        lead = math.factorial(n - 1)
+        assert all(lowest[r0] > r0 for r0 in range(lead))
+        assert all(lowest[r0] < r0 for r0 in range(lead, math.factorial(n)))
+
+
 def no_weak_majority_edge(p: VotingProfile) -> bool:
     counts = pairwise_counts(p)
-    return all(2 * counts[j, (j + 1) % p.n] < p.m for j in range(p.n))
+    return all(2 * counts[j][(j + 1) % p.n] < p.m for j in range(p.n))
 
 
 class TestBlockScan:
@@ -282,9 +295,9 @@ class TestVerifier:
 
         monkeypatch.setattr("mdx.conjecture.ProcessPoolExecutor", InlinePool)
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-        verdict = verify_conjecture(3, 3, workers=64)
-        assert sizes == [expected]  # 3! = 6 first-voter ranks, so 6 shards
-        assert (verdict.status, verdict.profiles_checked) == ("verified", count_canonical(3, 3))
+        verdict = verify_conjecture(4, 3, workers=64)
+        assert sizes == [expected]  # 3! = 6 ranks can lead a 4-candidate profile: 6 shards
+        assert (verdict.status, verdict.profiles_checked) == ("verified", count_canonical(4, 3))
 
     def test_budget_refusal_is_upfront(self):
         verdict = verify_conjecture(4, 4, budget=1)

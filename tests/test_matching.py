@@ -111,7 +111,7 @@ class TestCoverGraph:
         a, b = 0, 1
         g = build_cover_graph(p, a, b)
         loops = sum(1 for v in range(p.m) if g.has_edge(v, v))
-        assert loops == counts[a, b]
+        assert loops == counts[a][b]
 
     @settings(max_examples=100, deadline=None)
     @given(clone_heavy_cases(size=40))

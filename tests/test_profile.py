@@ -45,8 +45,8 @@ class TestParsing:
         p = parse_profile("2: X > Y\n1: Y > X")
         assert p.m == 3
         counts = pairwise_counts(p)
-        assert counts[p.index("X"), p.index("Y")] == 2
-        assert counts[p.index("Y"), p.index("X")] == 1
+        assert counts[p.index("X")][p.index("Y")] == 2
+        assert counts[p.index("Y")][p.index("X")] == 1
 
     def test_comments_and_blank_lines(self):
         p = parse_profile("# header\n\nA > B  # trailing note\n\nB > A\n")
@@ -89,13 +89,13 @@ class TestParsing:
 class TestPairwiseCounts:
     def test_three_cycle_margins(self):
         counts = pairwise_counts(parse_profile(THREE_CYCLE))
-        assert counts[0, 1] == 2 and counts[1, 2] == 2 and counts[2, 0] == 2
-        assert counts[1, 0] == 1 and counts[2, 1] == 1 and counts[0, 2] == 1
+        assert counts[0][1] == 2 and counts[1][2] == 2 and counts[2][0] == 2
+        assert counts[1][0] == 1 and counts[2][1] == 1 and counts[0][2] == 1
 
     def test_unanimous(self):
         p = parse_profile("4: A > B > C")
         counts = pairwise_counts(p)
-        assert counts[0, 1] == counts[0, 2] == counts[1, 2] == 4
+        assert counts[0][1] == counts[0][2] == counts[1][2] == 4
 
     def test_hundred_voter_counterexample(self):
         # Counted from the seven voter blocks, not from any figure.
@@ -111,8 +111,8 @@ class TestPairwiseCounts:
             ("D", "B"): 55,
         }
         for (x, y), want in expected.items():
-            assert counts[idx[x], idx[y]] == want
-            assert counts[idx[y], idx[x]] == 100 - want
+            assert counts[idx[x]][idx[y]] == want
+            assert counts[idx[y]][idx[x]] == 100 - want
 
 
 class TestTripleCount:
@@ -208,7 +208,7 @@ class TestRestriction:
         for i, x in enumerate(kept):
             for j, y in enumerate(kept):
                 if x != y:
-                    assert after[i, j] == before[x, y]
+                    assert after[i][j] == before[x][y]
 
 
 @settings(max_examples=60)
@@ -216,9 +216,9 @@ class TestRestriction:
 def test_counts_are_complementary(p):
     counts = pairwise_counts(p)
     for x in range(p.n):
-        assert counts[x, x] == 0
+        assert counts[x][x] == 0
         for y in range(x + 1, p.n):
-            assert counts[x, y] + counts[y, x] == p.m
+            assert counts[x][y] + counts[y][x] == p.m
 
 
 def test_default_candidates_wrap():
@@ -293,6 +293,6 @@ class TestRuns:
     def test_huge_multiplicity_is_never_expanded(self):
         p = parse_profile("1000000000000000: A > B > C\nB > C > A")
         assert p.m == 10**15 + 1
-        assert pairwise_counts(p)[0, 1] == 10**15
+        assert pairwise_counts(p)[0][1] == 10**15
         assert p.candidates[apply_rule("copeland", p).winner] == "A"
         assert "orderings" not in vars(p)

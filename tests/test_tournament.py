@@ -7,7 +7,7 @@ from hypothesis import given, settings
 
 from conftest import profiles
 from mdx.instances import counterexample_relax2, rotational_profile
-from mdx.profile import parse_profile
+from mdx.profile import pairwise_counts, parse_profile
 from mdx.tournament import (
     GraphParseError,
     SymmetrySearchError,
@@ -40,7 +40,7 @@ class TestBuildTournament:
         two_thirds = Fraction(2, 3)
         assert g.weight[0][1] == g.weight[1][2] == g.weight[2][0] == two_thirds
         assert g.weight[1][0] == g.weight[2][1] == g.weight[0][2] == 1 - two_thirds
-        assert g.count(0, 1) == 2 and g.count(1, 0) == 1
+        assert g.counts[0][1] == 2 and g.counts[1][0] == 1
 
     def test_unanimous_row_of_ones(self):
         g = build_tournament(parse_profile("4: A > B > C"))
@@ -70,7 +70,18 @@ class TestBuildTournament:
             for y in range(g.n):
                 if x != y:
                     assert g.weight[x][y] + g.weight[y][x] == 1
-                    assert g.count(x, y) + g.count(y, x) == p.m
+                    assert g.counts[x][y] + g.counts[y][x] == p.m
+
+
+@settings(max_examples=60)
+@given(profiles(min_n=2, max_n=5, max_m=6))
+def test_weight_view_is_counts_over_m(p):
+    g = build_tournament(p)
+    counts = pairwise_counts(p)
+    assert all(
+        g.weight[x][y] == Fraction(counts[x][y], p.m) for x in range(p.n) for y in range(p.n)
+    )
+    assert parse_graph(serialize_graph(g)).weight == g.weight
 
 
 class TestGraphFiles:
@@ -190,13 +201,12 @@ class TestCyclicSymmetry:
 
 def test_graph_validation():
     with pytest.raises(ValueError):
-        WeightedTournamentGraph(("A", "A"), ((Fraction(0),),) * 2, 1)
+        WeightedTournamentGraph(("A", "A"), ((0,),) * 2, 1)
     with pytest.raises(ValueError):
-        WeightedTournamentGraph(("A",), ((Fraction(1),),), 1)
+        WeightedTournamentGraph(("A",), ((1,),), 1)
     with pytest.raises(ValueError):
-        # 1/3 is not an integer count over m=2.
-        WeightedTournamentGraph(
-            ("A", "B"),
-            ((Fraction(0), Fraction(1, 3)), (Fraction(2, 3), Fraction(0))),
-            2,
-        )
+        # 1 + 2 voters on one pair is not m = 2.
+        WeightedTournamentGraph(("A", "B"), ((0, 1), (2, 0)), 2)
+    with pytest.raises(ValueError):
+        # A negative count, even one that sums to m with its complement.
+        WeightedTournamentGraph(("A", "B"), ((0, -1), (3, 0)), 2)
