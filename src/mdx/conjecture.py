@@ -19,8 +19,8 @@ order, held as the rows of one numpy array.  A row is canonical when no rotation
 candidate labels, applied to the row and re-sorted, compares below it.
 A sound majority shortcut (if at least half the voters prefer X_i to
 X_(i+1), G(X_i, X_(i+1)) always has a perfect matching) is decided per
-block too; only the rare survivors run an exact check, with the cover
-graphs and matcher of :mod:`mdx.matching`.
+block too, as one packed integer sum per row; only the rare survivors
+run the exact check, Hall's condition over candidate sets on a rank table.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from bisect import bisect_right
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import permutations
+from itertools import combinations_with_replacement, permutations
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -158,6 +158,36 @@ def _profile_from_ranks(n: int, ranks: Sequence[int]) -> VotingProfile:
     return VotingProfile(default_candidates(n), tuple(perms[r] for r in ranks))
 
 
+@lru_cache(maxsize=None)
+def _hall_table(n: int) -> np.ndarray:
+    """hall[r, j, u] = [P_r(X_(j+1)) within U] + [Q_r(X_j) misses U] for the
+    u-th set U holding X_(j+1) but not X_j (all others pass Hall), where
+    ordering r ranks P_r(B) at or above B and Q_r(A) at or below A."""
+    pos = np.argsort(_tables(n)[0], axis=1)
+    edge = np.arange(n)
+    above = (pos[:, None, :] <= pos[:, (edge + 1) % n, None]) @ (1 << edge)
+    below = (pos[:, None, :] >= pos[:, edge, None]) @ (1 << edge)
+    sets = np.arange(1 << n)
+    sets = np.stack([sets[(sets >> (j + 1) % n & 1 == 1) & (sets >> j & 1 == 0)] for j in edge])
+    return ((above[..., None] & ~sets) == 0).astype(np.int8) + ((below[..., None] & sets) == 0)
+
+
+def _cycle_edges_match(n: int, rows: np.ndarray) -> np.ndarray:
+    """matched[i, j]: whether G(X_j, X_(j+1)) has a perfect matching for the
+    voters at ranks rows[i]: by Hall, iff every U sums to at most m in the table."""
+    return (_hall_table(n)[rows].sum(axis=1) <= rows.shape[1]).all(axis=2)
+
+
+def _packed_tally(n: int, m: int) -> tuple[np.ndarray, int, int]:
+    """(code, bias, high): m voters holding ranks give no cycle edge a weak
+    majority iff (code[ranks].sum() + bias) & high == 0.  code[r] packs fwd[:, r]
+    in w-bit fields, room for m plus a high bit the bias sets iff 2 * votes >= m."""
+    w = m.bit_length() + 1
+    fields = 1 << np.arange(0, n * w, w, dtype=np.int64)
+    ones = int(fields.sum())
+    return _tables(n)[2].T @ fields, ones * ((1 << w - 1) - (m + 1) // 2), ones << w - 1
+
+
 def enumerate_profiles(n: int, m: int) -> Iterator[VotingProfile]:
     """Yield one canonical profile per equivalence class, in rank order.
 
@@ -168,29 +198,10 @@ def enumerate_profiles(n: int, m: int) -> Iterator[VotingProfile]:
     if n < 2 or m < 1:
         raise ValueError("need n >= 2 candidates and m >= 1 voters")
     perms, rot, *_ = _tables(n)
-    size = len(perms)
     rotations = [rot[k].tolist() for k in range(1, n)]
-
-    def canonical(seq: tuple[int, ...]) -> bool:
-        return all(
-            tuple(sorted(table[r] for r in seq)) >= seq for table in rotations
-        )
-
-    names = default_candidates(n)
-    stack = [0] * m
-
-    def rec(depth: int, lo: int) -> Iterator[tuple[int, ...]]:
-        if depth == m:
-            seq = tuple(stack)
-            if canonical(seq):
-                yield seq
-            return
-        for r in range(lo, size):
-            stack[depth] = r
-            yield from rec(depth + 1, r)
-
-    for seq in rec(0, 0):
-        yield VotingProfile(names, tuple(perms[r] for r in seq))
+    for seq in combinations_with_replacement(range(len(perms)), m):
+        if all(tuple(sorted(table[r] for r in seq)) >= seq for table in rotations):
+            yield _profile_from_ranks(n, seq)
 
 
 def _nondecreasing(size: int, length: int, firsts: int) -> np.ndarray:
@@ -254,12 +265,12 @@ def _scan_shard(n: int, m: int, lo: int, hi: int) -> tuple[int, tuple[int, ...] 
     lexicographic order.  A row is canonical iff, for every rotation,
     the rotated row once sorted is lexicographically no smaller than the
     row itself.  A canonical row with no weak majority for any cycle
-    edge (2 * sum of fwd[j] over its ranks >= m) goes, in order, through
-    the exact matching check.
+    edge (2 * votes >= m, one packed sum per row) goes, in order, through
+    the exact check, Hall's condition over candidate sets.
     """
-    perms, rot, fwd = _tables(n)
+    perms, rot, _ = _tables(n)
     lowest = rot[1:].min(axis=0)
-    fwd_by_rank = np.ascontiguousarray(fwd.T)
+    code, bias, high = _packed_tally(n, m)
     checked = 0
     for r0 in range(lo, hi):
         ranks = np.flatnonzero(lowest[r0:] >= r0) + r0
@@ -278,17 +289,13 @@ def _scan_shard(n: int, m: int, lo: int, hi: int) -> tuple[int, tuple[int, ...] 
             pair = np.arange(len(at))
             canon = np.ones(len(rows), dtype=bool)
             canon[at[turned[pair, first] < sub[pair, first]]] = False
-            keep = np.flatnonzero(canon)
-            votes = sum(fwd_by_rank[ranks_at] for ranks_at in rows[keep].T)
-            for pos in np.flatnonzero((2 * votes < m).all(axis=1)):
-                found = tuple(rows[keep[pos]].tolist())
-                p = _profile_from_ranks(n, found)
-                if not any(
-                    max_matching(build_cover_graph(p, j, (j + 1) % n)).perfect
-                    for j in range(n)
-                ):
-                    return checked + int(pos) + 1, found
-            checked += keep.size
+            kept = rows[canon]
+            opened = np.flatnonzero(((code[kept].sum(axis=1) + bias) & high) == 0)
+            if opened.size:
+                failed = opened[~_cycle_edges_match(n, kept[opened]).any(axis=1)]
+                if failed.size:
+                    return checked + int(failed[0]) + 1, tuple(kept[failed[0]].tolist())
+            checked += len(kept)
     return checked, None
 
 
@@ -318,6 +325,8 @@ def verify_conjecture(
     start = time.perf_counter()
     if count_canonical(n, m) > budget:
         return Verdict("budget-exceeded", n, m, 0, time.perf_counter() - start)
+    if n * (m.bit_length() + 1) > 63:
+        raise ValueError(f"{n} candidates and {m} voters overflow the 64-bit majority tally")
     size = math.factorial(n - 1)
     checked = 0
     ce: tuple[int, ...] | None = None

@@ -435,6 +435,11 @@ class TestVerifyConjecture:
         code, _, err = run(capsys, "verify-conjecture", "1", "3")
         assert code == 2 and "n >= 2" in err
 
+    def test_a_cell_too_large_for_the_tally_is_a_parse_error(self, capsys):
+        argv = ["verify-conjecture", "2", str(2**40), "--budget", str(10**30)]
+        code, _, err = run(capsys, *argv)
+        assert code == 2 and "overflow" in err
+
 
 class TestInstanceCommand:
     def test_every_builder_runs_with_defaults(self, capsys):

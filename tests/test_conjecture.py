@@ -9,6 +9,7 @@ import sys
 from concurrent.futures import Future
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from conftest import random_profile
@@ -16,6 +17,10 @@ from mdx.conjecture import (
     CycleCheck,
     Verdict,
     _blocks,
+    _cycle_edges_match,
+    _hall_table,
+    _packed_tally,
+    _profile_from_ranks,
     _tables,
     check_cycle_condition,
     count_canonical,
@@ -23,7 +28,7 @@ from mdx.conjecture import (
     verify_conjecture,
 )
 from mdx.instances import counterexample_relax1
-from mdx.matching import MatchingResult, build_cover_graph, hall_violator, max_matching
+from mdx.matching import build_cover_graph, hall_violator, max_matching
 from mdx.profile import VotingProfile, pairwise_counts, parse_profile, serialize_profile
 
 THREE_CYCLE = "A > B > C\nB > C > A\nC > A > B\n"
@@ -205,6 +210,63 @@ def no_weak_majority_edge(p: VotingProfile) -> bool:
     return all(2 * counts[j][(j + 1) % p.n] < p.m for j in range(p.n))
 
 
+def never_matches(n, rows):
+    return np.zeros((len(rows), n), dtype=bool)
+
+
+def every_tuple(n, m):
+    """Every nondecreasing m-tuple of the n! ordering ranks, one per row."""
+    return np.array(list(itertools.combinations_with_replacement(range(math.factorial(n)), m)))
+
+
+# Every nondecreasing rank tuple of these cells is checked: 10,645 in all.
+SMALL_CELLS = [(3, 1), (3, 2), (3, 3), (3, 4), (3, 5), (4, 1), (4, 2), (4, 3), (5, 2)]
+
+
+class TestRankTables:
+    def test_hall_test_agrees_with_the_matcher_per_edge(self):
+        # The exact check reads Hall's condition over candidate sets from
+        # a rank table; Hopcroft-Karp on the voter-level cover graph is the
+        # independent oracle.
+        for n, m in SMALL_CELLS:
+            rows = every_tuple(n, m)
+            matched = _cycle_edges_match(n, rows)
+            assert matched.shape == (len(rows), n)
+            for row, got in zip(rows.tolist(), matched.tolist()):
+                check = check_cycle_condition(_profile_from_ranks(n, row))
+                assert got == [e.found for e in check.edges], (n, row)
+
+    @pytest.mark.parametrize(
+        "n, m",
+        SMALL_CELLS + [(n, m) for n in (2, 3) for m in (1, 2, 3, 4, 7, 8, 15, 16)],
+    )
+    def test_packed_tally_opens_exactly_the_rows_without_a_weak_majority(self, n, m):
+        # m in {1, 2, 3, 4, 7, 8, 15, 16} sits on both sides of each change
+        # of the field width m.bit_length() + 1.
+        code, bias, high = _packed_tally(n, m)
+        rows = every_tuple(n, m)
+        opened = ((code[rows].sum(axis=1) + bias) & high) == 0
+        expected = [no_weak_majority_edge(_profile_from_ranks(n, row)) for row in rows.tolist()]
+        assert opened.tolist() == expected
+
+    def test_the_hall_table_waits_for_a_survivor(self):
+        # (3, 4) and (6, 2) have no canonical profile without a weak-majority
+        # edge, so their scans build no table over candidate sets.
+        _hall_table.cache_clear()
+        assert verify_conjecture(3, 4).status == verify_conjecture(6, 2).status == "verified"
+        assert _hall_table.cache_info().currsize == 0
+        assert verify_conjecture(3, 3).status == "verified"
+        assert _hall_table.cache_info().currsize == 1
+
+    def test_too_many_voters_for_the_tally_is_refused_before_scanning(self):
+        # n * (m.bit_length() + 1) bits must fit in an int64's 63: 2 * 42,
+        # 2 * 32 and 7 * 10 do not, so these cells raise instead of summing
+        # with a carry between fields (each would also scan for ages).
+        for n, m in ((2, 2**40), (2, 2**30), (7, 256)):
+            with pytest.raises(ValueError, match="overflow"):
+                verify_conjecture(n, m, budget=10**1000)
+
+
 class TestBlockScan:
     @pytest.mark.parametrize("cap", [1, 2, 7, 50])
     @pytest.mark.parametrize("size, length", [(1, 3), (5, 0), (5, 1), (6, 3), (9, 4)])
@@ -229,13 +291,12 @@ class TestBlockScan:
     @pytest.mark.parametrize("cap", [1, 5, None])
     @pytest.mark.parametrize("n, m", [(3, 3), (3, 5), (4, 3)])
     def test_counterexample_follows_enumeration_order(self, monkeypatch, cap, n, m):
-        # With a matcher that never matches, the counterexample is the first
-        # enumerated profile without a weak-majority cycle edge, however the
-        # scan is split into blocks (None keeps the module's cap).
+        # With an exact check that never matches, the counterexample is the
+        # first enumerated profile without a weak-majority cycle edge, however
+        # the scan is split into blocks (None keeps the module's cap).
         if cap is not None:
             monkeypatch.setattr("mdx.conjecture._BLOCK_ROWS", cap)
-        never = MatchingResult(0, (), False)
-        monkeypatch.setattr("mdx.conjecture.max_matching", lambda g: never)
+        monkeypatch.setattr("mdx.conjecture._cycle_edges_match", never_matches)
         expected = next(
             (position, p)
             for position, p in enumerate(enumerate_profiles(n, m), start=1)
@@ -306,11 +367,9 @@ class TestVerifier:
         assert verdict.counterexample is None
 
     def test_counterexample_is_the_first_failing_profile(self, monkeypatch):
-        # With a matcher that never finds a perfect matching, the first
-        # canonical profile the majority shortcut leaves open fails, provided
-        # the exact check calls that matcher.
-        never = MatchingResult(0, (), False)
-        monkeypatch.setattr("mdx.conjecture.max_matching", lambda g: never)
+        # With an exact check that never finds a perfect matching, the first
+        # canonical profile the majority shortcut leaves open fails.
+        monkeypatch.setattr("mdx.conjecture._cycle_edges_match", never_matches)
         verdict = verify_conjecture(3, 3)
         expected = next(
             (position, p)
