@@ -11,7 +11,10 @@ one with the largest d(A,v) - R d(B,v) does not lower the ratio
 (Dinkelbach), and voter-voter distances, read by no objective or ballot
 row, can be shortest paths through candidates, which is how witnesses are
 expanded.  The rows are built once per profile and shared by its ordered
-pairs.  The solver is a self-contained two-phase primal simplex.
+pairs.  The normalisation is one more <= row (Charnes-Cooper), so every
+right-hand side is >= 0 and the LP starts from the slack basis.  The
+solver is a self-contained primal simplex, two-phase when a row needs an
+artificial variable.
 
 Distances mix candidates and voters in a single space; voters may tie and
 may sit at distance zero from other points (pseudometric).
@@ -385,12 +388,14 @@ def _inequalities(n: int, orders: tuple[tuple[int, ...], ...]) -> tuple[list, li
 def pairwise_distortion_lp(
     p: VotingProfile, a: int | str, b: int | str, cap: int = DEFAULT_LP_CAP
 ) -> LpOutcome:
-    """Worst-case ratio LP: max total distance to a, total distance to b = 1.
+    """Worst-case ratio LP: max total distance to a, total distance to b <= 1.
 
-    ``cap`` bounds candidates + distinct ballots.  a == b short-circuits to
-    value 1 (the objective equals the normalized constraint).  Status
-    'unbounded' means the ratio is unbounded: nothing in the profile ties
-    a's distances to b's.
+    The other rows are homogeneous and the all-ones metric is feasible, so
+    the bound is tight at every optimum and the value is that of the ratio
+    (Charnes-Cooper); no phase 1 runs.  ``cap`` bounds candidates + distinct
+    ballots.  a == b short-circuits to value 1 (the objective equals the
+    normalized constraint).  Status 'unbounded' means the ratio is
+    unbounded: nothing in the profile ties a's distances to b's.
     """
     ai, bi = p.index(a), p.index(b)
     if ai == bi:
@@ -398,11 +403,13 @@ def pairwise_distortion_lp(
     n, n_types = p.n, len(p.types)
     if n + n_types > cap:
         raise LpCapError(f"LP needs {n + n_types} points (candidates + ballots), cap is {cap}")
-    cc, ct, a_ub = _inequalities(n, tuple(order for order, _ in p.types))
-    objective, a_eq = np.zeros(a_ub.shape[1]), np.zeros((1, a_ub.shape[1]))
-    objective[ct[ai]] = a_eq[0, ct[bi]] = [count for _, count in p.types]
+    cc, ct, rows = _inequalities(n, tuple(order for order, _ in p.types))
+    nv = rows.shape[1]
+    objective, norm = np.zeros(nv), np.zeros(nv)
+    objective[ct[ai]] = norm[ct[bi]] = [count for _, count in p.types]
+    b_ub = np.append(np.zeros(len(rows)), 1.0)
 
-    result = solve_lp(objective, a_ub, np.zeros(len(a_ub)), a_eq, np.ones(1), maximize=True)
+    result = solve_lp(objective, np.vstack([rows, norm]), b_ub, np.zeros((0, nv)), np.zeros(0), maximize=True)
     if result.status == "unbounded":
         return LpOutcome("unbounded", None)
     if result.status != "optimal":
@@ -430,11 +437,14 @@ def solve_lp(
     tol: float = SOLVER_TOL,
     max_iter: int = 1_000_000,
 ) -> SimplexResult:
-    """Two-phase primal simplex over x >= 0 with dense numpy tableaus.
+    """Primal simplex over x >= 0 with dense numpy tableaus.
 
-    Pivoting uses Dantzig's rule, falling back to Bland's rule after a run
-    of degenerate pivots so cycling cannot occur.  Raises
-    SolverFailureError when the pivot count exceeds ``max_iter``.
+    Rows with b_ub >= 0 start on their slack; equality rows and rows with
+    b_ub < 0 get an artificial variable, which phase 1 drives out.  With
+    none, phase 1 is skipped.  A pivot updates only the columns where the
+    pivot row is nonzero.  Pivoting uses Dantzig's rule, falling back to
+    Bland's rule after a run of degenerate pivots so cycling cannot occur.
+    Raises SolverFailureError when the pivot count exceeds ``max_iter``.
     """
     c = np.asarray(c, dtype=float)
     nv = c.size
@@ -475,33 +485,40 @@ def solve_lp(
 
     iters = 0
 
+    def pivot(i: int, j: int) -> np.ndarray:
+        """Pivot on (i, j); only the columns where row i is nonzero change."""
+        row = tableau[i]
+        row /= row[j]
+        nz = row.nonzero()[0]
+        col_vals = tableau[:, j].copy()
+        col_vals[i] = 0.0
+        tableau[:, nz] -= np.outer(col_vals, row[nz])
+        basis[i] = j
+        return nz
+
     def pivot_loop(obj: np.ndarray, allow_unbounded: bool) -> str:
-        nonlocal iters, tableau
+        nonlocal iters
         degenerate_run = 0
         bland = False
         while True:
             reduced = obj[:-1]
             if bland:
-                entering = -1
-                for j in range(reduced.size):
-                    if reduced[j] < -tol:
-                        entering = j
-                        break
-                if entering < 0:
+                improving = (reduced < -tol).nonzero()[0]
+                if not improving.size:
                     return "optimal"
+                entering = int(improving[0])
             else:
-                entering = int(np.argmin(reduced))
+                entering = int(reduced.argmin())
                 if reduced[entering] >= -tol:
                     return "optimal"
             col = tableau[:, entering]
-            positive = col > tol
-            if not positive.any():
+            rows = (col > tol).nonzero()[0]
+            if not rows.size:
                 return "unbounded" if allow_unbounded else "stalled"
-            ratios = np.full(n_rows, np.inf)
-            ratios[positive] = tableau[positive, -1] / col[positive]
+            ratios = tableau[rows, -1] / col[rows]
             best = ratios.min()
-            tied = np.flatnonzero(ratios <= best + 1e-12)
-            leaving = int(tied[np.argmin(basis[tied])])
+            tied = rows[ratios <= best + 1e-12]
+            leaving = int(tied[basis[tied].argmin()])
             if iters >= max_iter:
                 raise SolverFailureError(f"simplex exceeded {max_iter} iterations")
             iters += 1
@@ -512,13 +529,8 @@ def solve_lp(
             else:
                 degenerate_run = 0
                 bland = False
-            pivot_val = tableau[leaving, entering]
-            tableau[leaving] /= pivot_val
-            col_vals = tableau[:, entering].copy()
-            col_vals[leaving] = 0.0
-            tableau -= np.outer(col_vals, tableau[leaving])
-            obj -= obj[entering] * tableau[leaving]
-            basis[leaving] = entering
+            nz = pivot(leaving, entering)
+            obj[nz] -= obj[entering] * tableau[leaving, nz]
 
     def reduced_objective(costs: np.ndarray) -> np.ndarray:
         obj = np.zeros(n_cols + 1)
@@ -547,19 +559,14 @@ def solve_lp(
                 if support.size == 0:
                     keep[i] = False
                     continue
-                entering = int(support[0])
-                tableau[i] /= tableau[i, entering]
-                col_vals = tableau[:, entering].copy()
-                col_vals[i] = 0.0
-                tableau -= np.outer(col_vals, tableau[i])
-                basis[i] = entering
+                pivot(i, int(support[0]))
 
         if not keep.all():
             tableau = tableau[keep]
             basis = basis[keep]
             n_rows = int(keep.sum())
-    tableau = np.delete(tableau, np.s_[nv + n_ub: n_cols], axis=1)
-    n_cols = nv + n_ub
+        tableau = np.delete(tableau, np.s_[nv + n_ub: n_cols], axis=1)
+        n_cols = nv + n_ub
 
     # Phase 2 with the real objective.
     sign = -1.0 if maximize else 1.0

@@ -4,6 +4,7 @@ import math
 import random
 import struct
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import clone_heavy_cases, euclidean_instance, random_profile
+from mdx import metriclp
 from mdx.instances import fairness_table, lower_left, lower_right
 from mdx.metriclp import (
     DEFAULT_LP_CAP,
@@ -31,6 +33,7 @@ from mdx.metriclp import (
     solve_lp,
     voter_labels,
 )
+from mdx.metriclp import _inequalities  # private: rebuilds the equality-form LP below
 from mdx.metriclp import _parse_cell  # private: compared against Fraction below
 from mdx.profile import parse_profile
 from mdx.rules import optimal_lp_winner
@@ -366,6 +369,62 @@ class TestSolver:
             np.array([1.0]), a_ub=np.array([[-1.0]]), b_ub=np.array([-2.0])
         )
         assert result.status == "optimal" and result.value == pytest.approx(2.0)
+
+    def test_dense_lps_agree_with_highs(self):
+        # Equality rows and negative b_ub need artificials, so phase 1 runs.
+        rng = np.random.default_rng(15)
+        statuses = set()
+        for _ in range(300):
+            nv, n_ub, n_eq = rng.integers(1, 6), rng.integers(0, 5), rng.integers(0, 3)
+            c = rng.integers(-3, 4, nv).astype(float)
+            a_ub = rng.integers(-3, 4, (n_ub, nv)).astype(float)
+            b_ub = rng.integers(-3, 6, n_ub).astype(float)
+            a_eq = rng.integers(-3, 4, (n_eq, nv)).astype(float)
+            b_eq = rng.integers(-3, 4, n_eq).astype(float)
+            sign = -1.0 if rng.integers(2) else 1.0
+            mine = solve_lp(c, a_ub, b_ub, a_eq, b_eq, maximize=sign < 0)
+            # HiGHS's presolve calls some unbounded LPs here infeasible.
+            ref = scipy.optimize.linprog(
+                sign * c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq,
+                bounds=(0, None), method="highs", options={"presolve": False},
+            )
+            status = {0: "optimal", 2: "infeasible", 3: "unbounded"}[ref.status]
+            assert mine.status == status
+            statuses.add(status)
+            if status == "optimal":
+                assert mine.value == pytest.approx(sign * ref.fun, rel=1e-9, abs=1e-9)
+                assert (mine.x >= -1e-9).all()
+                assert (a_ub @ mine.x <= b_ub + 1e-9).all()
+                assert a_eq @ mine.x == pytest.approx(b_eq, abs=1e-9)
+        assert statuses == {"optimal", "infeasible", "unbounded"}
+
+
+@settings(max_examples=150, deadline=None)
+@given(clone_heavy_cases())
+def test_normalisation_row_matches_equality_form(case):
+    """c_B.x <= 1 in place of c_B.x = 1 (Charnes-Cooper) keeps the LP's
+    status and value and needs no artificial variable."""
+    p, a, b = case
+    calls = []
+
+    def recording(*args, **kwargs):
+        calls.append(args)
+        return solve_lp(*args, **kwargs)
+
+    with mock.patch.object(metriclp, "solve_lp", recording):
+        mine = pairwise_distortion_lp(p, a, b)
+    assert len(calls) == 1
+    for _, a_ub, b_ub, a_eq, b_eq in calls:
+        assert a_eq.shape[0] == 0 and b_eq.size == 0
+        assert (b_ub >= 0).all()
+
+    _, ct, rows = _inequalities(p.n, tuple(order for order, _ in p.types))
+    objective, c_b = np.zeros(rows.shape[1]), np.zeros((1, rows.shape[1]))
+    objective[ct[a]] = c_b[0, ct[b]] = [count for _, count in p.types]
+    oracle = solve_lp(objective, rows, np.zeros(len(rows)), c_b, np.ones(1), maximize=True)
+    assert mine.status == oracle.status
+    if oracle.status == "optimal":
+        assert mine.value == pytest.approx(oracle.value, rel=1e-12)
 
 
 def reference_lp(p, a, b):

@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 
@@ -288,8 +289,8 @@ class TestOptimalLp:
             assert v == pytest.approx(3.0, abs=1e-6)
 
     def test_float_tie_goes_to_the_alphabetical_first(self):
-        # Every candidate's worst-case value is 3; the simplex lands C a few
-        # ulps below A.
+        # Every candidate's worst-case value is 3; the simplex reads some of
+        # them a few ulps off it.
         out = optimal_lp_winner(rotational_profile("ABCDE", 5).profile)
         assert out.winner == 0
 
@@ -308,9 +309,16 @@ class TestOptimalLp:
             return solve(objective, a_ub, *args, **kwargs)
 
         monkeypatch.setattr(metriclp, "solve_lp", recording)
-        optimal_lp_winner(rotational_profile("ABCDE", 5).profile)
+        p = rotational_profile("ABCDE", 5).profile
+        metriclp._inequalities.cache_clear()
+        optimal_lp_winner(p)
         assert len(seen) == 20
-        assert len({id(a_ub) for a_ub in seen}) == 1
+        assert metriclp._inequalities.cache_info().misses == 1
+        # Each LP's rows are the shared ones plus its normalisation row.
+        shared = metriclp._inequalities(p.n, tuple(order for order, _ in p.types))[2]
+        for a_ub in seen:
+            assert a_ub.shape == (len(shared) + 1, shared.shape[1])
+            assert np.array_equal(a_ub[: len(shared)], shared)
 
     def test_workers_match_serial(self):
         p = parse_profile(THREE_CYCLE)
