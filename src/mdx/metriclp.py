@@ -13,8 +13,7 @@ row, can be shortest paths through candidates, which is how witnesses are
 expanded.  The rows are built once per profile and shared by its ordered
 pairs.  The normalisation is one more <= row (Charnes-Cooper), so every
 right-hand side is >= 0 and the LP starts from the slack basis.  The
-solver is a self-contained primal simplex, two-phase when a row needs an
-artificial variable.
+solver is a self-contained one-phase primal simplex from that basis.
 
 Distances mix candidates and voters in a single space; voters may tie and
 may sit at distance zero from other points (pseudometric).
@@ -30,7 +29,7 @@ from itertools import combinations
 
 import numpy as np
 
-from mdx.profile import VotingProfile
+from mdx.profile import VotingProfile, resolve_index
 
 __all__ = [
     "DEFAULT_LP_CAP",
@@ -55,6 +54,7 @@ __all__ = [
 
 DEFAULT_LP_CAP = 20
 SOLVER_TOL = 1e-9
+MAX_PIVOTS = 1_000_000
 TRIANGLE_TOL = 1e-9
 # Full triangle validation is cubic; skip it at construction for big metrics.
 TRIANGLE_CHECK_LIMIT = 48
@@ -130,14 +130,7 @@ class Metric:
         return self.n_points - self.n_candidates
 
     def index(self, x: int | str) -> int:
-        if isinstance(x, str):
-            try:
-                return self.labels.index(x)
-            except ValueError:
-                raise KeyError(f"unknown point {x!r}") from None
-        if not 0 <= x < self.n_points:
-            raise KeyError(f"point index {x} out of range")
-        return x
+        return resolve_index(self.labels, x, "point")
 
     def triangle_violation(self, tol: float = TRIANGLE_TOL) -> tuple[int, int, int] | None:
         """Worst triple violating d(i,j) <= d(i,k) + d(k,j) + tol, or None."""
@@ -205,7 +198,7 @@ class LpOutcome:
 
 @dataclass(frozen=True)
 class SimplexResult:
-    status: str  # optimal | unbounded | infeasible
+    status: str  # optimal | unbounded
     value: float | None
     x: np.ndarray | None
     iterations: int
@@ -409,11 +402,10 @@ def pairwise_distortion_lp(
     objective[ct[ai]] = norm[ct[bi]] = [count for _, count in p.types]
     b_ub = np.append(np.zeros(len(rows)), 1.0)
 
-    result = solve_lp(objective, np.vstack([rows, norm]), b_ub, np.zeros((0, nv)), np.zeros(0), maximize=True)
+    # No equality rows; bench/tracing.py reads the a_eq argument's row count.
+    result = solve_lp(objective, np.vstack([rows, norm]), b_ub, np.zeros((0, nv)), np.zeros(0))
     if result.status == "unbounded":
         return LpOutcome("unbounded", None)
-    if result.status != "optimal":
-        raise SolverFailureError(f"distortion LP ended with status {result.status}")
     x = np.maximum(result.x, 0.0)
     reduced = np.hstack([x[cc], x[ct]])
     np.fill_diagonal(reduced, 0.0)
@@ -428,159 +420,77 @@ def max_distortion(p: VotingProfile, a: int | str, cap: int = DEFAULT_LP_CAP) ->
 
 
 def solve_lp(
-    c: np.ndarray,
-    a_ub: np.ndarray | None = None,
-    b_ub: np.ndarray | None = None,
-    a_eq: np.ndarray | None = None,
-    b_eq: np.ndarray | None = None,
-    maximize: bool = False,
-    tol: float = SOLVER_TOL,
-    max_iter: int = 1_000_000,
+    c: np.ndarray, a_ub: np.ndarray, b_ub: np.ndarray, a_eq: np.ndarray, b_eq: np.ndarray
 ) -> SimplexResult:
-    """Primal simplex over x >= 0 with dense numpy tableaus.
+    """Maximise c.x over x >= 0 with a_ub.x <= b_ub: primal simplex from the slack basis.
 
-    Rows with b_ub >= 0 start on their slack; equality rows and rows with
-    b_ub < 0 get an artificial variable, which phase 1 drives out.  With
-    none, phase 1 is skipped.  A pivot updates only the columns where the
-    pivot row is nonzero.  Pivoting uses Dantzig's rule, falling back to
-    Bland's rule after a run of degenerate pivots so cycling cannot occur.
-    Raises SolverFailureError when the pivot count exceeds ``max_iter``.
+    Every b_ub must be >= 0, so the slack basis is feasible and no phase 1
+    is needed; ``a_eq`` and ``b_eq`` must have no rows.  Other input raises
+    ValueError.  A pivot updates only the columns where the pivot row is
+    nonzero.  Pivoting uses Dantzig's rule, falling back to Bland's rule
+    after a run of degenerate pivots so cycling cannot occur.  Raises
+    SolverFailureError past MAX_PIVOTS pivots.
     """
     c = np.asarray(c, dtype=float)
-    nv = c.size
-    a_ub = np.zeros((0, nv)) if a_ub is None else np.asarray(a_ub, dtype=float)
-    b_ub = np.zeros(0) if b_ub is None else np.asarray(b_ub, dtype=float)
-    a_eq = np.zeros((0, nv)) if a_eq is None else np.asarray(a_eq, dtype=float)
-    b_eq = np.zeros(0) if b_eq is None else np.asarray(b_eq, dtype=float)
-    n_ub, n_eq = a_ub.shape[0], a_eq.shape[0]
-    n_rows = n_ub + n_eq
+    a_ub, b_ub = np.asarray(a_ub, dtype=float), np.asarray(b_ub, dtype=float)
+    if len(a_eq) or len(b_eq):
+        raise ValueError("solve_lp takes no equality rows")
+    if (b_ub < 0).any():
+        raise ValueError("solve_lp needs b_ub >= 0")
+    n_rows, nv = a_ub.shape
 
-    # Columns: structural vars, one slack per <= row, artificials appended.
-    body = np.zeros((n_rows, nv + n_ub))
-    body[:n_ub, :nv] = a_ub
-    body[n_ub:, :nv] = a_eq
-    body[:n_ub, nv:] = np.eye(n_ub)
-    rhs = np.concatenate([b_ub, b_eq])
-    flip = rhs < 0
-    body[flip] *= -1.0
-    rhs = np.abs(rhs)
+    # Columns: structural vars, one slack per row, then the right-hand side.
+    tableau = np.zeros((n_rows, nv + n_rows + 1))
+    tableau[:, :nv] = a_ub
+    tableau[:, nv:-1] = np.eye(n_rows)
+    tableau[:, -1] = b_ub
+    basis = np.arange(nv, nv + n_rows)
+    # Reduced costs of minimising -c.x; every basic slack costs 0.
+    obj = np.zeros(nv + n_rows + 1)
+    obj[:nv] = -c
 
-    # Slack columns with +1 coefficient start in the basis; other rows get
-    # an artificial variable each.
-    basis = np.empty(n_rows, dtype=int)
-    art_rows = []
-    for i in range(n_rows):
-        if i < n_ub and not flip[i]:
-            basis[i] = nv + i
+    iters = degenerate_run = 0
+    bland = False
+    while True:
+        reduced = obj[:-1]
+        if bland:
+            improving = (reduced < -SOLVER_TOL).nonzero()[0]
+            if not improving.size:
+                break
+            entering = int(improving[0])
         else:
-            art_rows.append(i)
-    n_art = len(art_rows)
-    n_cols = nv + n_ub + n_art
-    tableau = np.zeros((n_rows, n_cols + 1))
-    tableau[:, : nv + n_ub] = body
-    tableau[:, -1] = rhs
-    for j, i in enumerate(art_rows):
-        tableau[i, nv + n_ub + j] = 1.0
-        basis[i] = nv + n_ub + j
-
-    iters = 0
-
-    def pivot(i: int, j: int) -> np.ndarray:
-        """Pivot on (i, j); only the columns where row i is nonzero change."""
-        row = tableau[i]
-        row /= row[j]
+            entering = int(reduced.argmin())
+            if reduced[entering] >= -SOLVER_TOL:
+                break
+        col = tableau[:, entering]
+        rows = (col > SOLVER_TOL).nonzero()[0]
+        if not rows.size:
+            return SimplexResult("unbounded", None, None, iters)
+        ratios = tableau[rows, -1] / col[rows]
+        best = ratios.min()
+        tied = rows[ratios <= best + 1e-12]
+        leaving = int(tied[basis[tied].argmin()])
+        if iters >= MAX_PIVOTS:
+            raise SolverFailureError(f"simplex exceeded {MAX_PIVOTS} iterations")
+        iters += 1
+        if best <= SOLVER_TOL:
+            degenerate_run += 1
+            if degenerate_run > 50:
+                bland = True
+        else:
+            degenerate_run = 0
+            bland = False
+        # Pivot on (leaving, entering); only the row's nonzero columns change.
+        row = tableau[leaving]
+        row /= row[entering]
         nz = row.nonzero()[0]
-        col_vals = tableau[:, j].copy()
-        col_vals[i] = 0.0
+        col_vals = col.copy()
+        col_vals[leaving] = 0.0
         tableau[:, nz] -= np.outer(col_vals, row[nz])
-        basis[i] = j
-        return nz
+        basis[leaving] = entering
+        obj[nz] -= obj[entering] * row[nz]
 
-    def pivot_loop(obj: np.ndarray, allow_unbounded: bool) -> str:
-        nonlocal iters
-        degenerate_run = 0
-        bland = False
-        while True:
-            reduced = obj[:-1]
-            if bland:
-                improving = (reduced < -tol).nonzero()[0]
-                if not improving.size:
-                    return "optimal"
-                entering = int(improving[0])
-            else:
-                entering = int(reduced.argmin())
-                if reduced[entering] >= -tol:
-                    return "optimal"
-            col = tableau[:, entering]
-            rows = (col > tol).nonzero()[0]
-            if not rows.size:
-                return "unbounded" if allow_unbounded else "stalled"
-            ratios = tableau[rows, -1] / col[rows]
-            best = ratios.min()
-            tied = rows[ratios <= best + 1e-12]
-            leaving = int(tied[basis[tied].argmin()])
-            if iters >= max_iter:
-                raise SolverFailureError(f"simplex exceeded {max_iter} iterations")
-            iters += 1
-            if best <= tol:
-                degenerate_run += 1
-                if degenerate_run > 50:
-                    bland = True
-            else:
-                degenerate_run = 0
-                bland = False
-            nz = pivot(leaving, entering)
-            obj[nz] -= obj[entering] * tableau[leaving, nz]
-
-    def reduced_objective(costs: np.ndarray) -> np.ndarray:
-        obj = np.zeros(n_cols + 1)
-        obj[: costs.size] = costs
-        for i in range(n_rows):
-            cb = costs[basis[i]] if basis[i] < costs.size else 0.0
-            if cb != 0.0:
-                obj -= cb * tableau[i]
-        return obj
-
-    # Phase 1: minimize the sum of artificials.
-    if n_art:
-        costs1 = np.zeros(n_cols)
-        costs1[nv + n_ub:] = 1.0
-        obj = reduced_objective(costs1)
-        status = pivot_loop(obj, allow_unbounded=False)
-        if status != "optimal":
-            raise SolverFailureError("phase-1 simplex stalled")
-        if -obj[-1] > 1e-7:
-            return SimplexResult("infeasible", None, None, iters)
-        # Pivot remaining artificials out of the basis or drop their rows.
-        keep = np.ones(n_rows, dtype=bool)
-        for i in range(n_rows):
-            if basis[i] >= nv + n_ub:
-                support = np.flatnonzero(np.abs(tableau[i, : nv + n_ub]) > tol)
-                if support.size == 0:
-                    keep[i] = False
-                    continue
-                pivot(i, int(support[0]))
-
-        if not keep.all():
-            tableau = tableau[keep]
-            basis = basis[keep]
-            n_rows = int(keep.sum())
-        tableau = np.delete(tableau, np.s_[nv + n_ub: n_cols], axis=1)
-        n_cols = nv + n_ub
-
-    # Phase 2 with the real objective.
-    sign = -1.0 if maximize else 1.0
-    costs2 = np.zeros(n_cols)
-    costs2[:nv] = sign * c
-    obj = reduced_objective(costs2)
-    status = pivot_loop(obj, allow_unbounded=True)
-    if status == "unbounded":
-        return SimplexResult("unbounded", None, None, iters)
-    if status != "optimal":
-        raise SolverFailureError("phase-2 simplex stalled")
     x = np.zeros(nv)
-    for i in range(n_rows):
-        if basis[i] < nv:
-            x[basis[i]] = tableau[i, -1]
-    value = float(c @ x)
-    return SimplexResult("optimal", value, x, iters)
+    structural = basis < nv
+    x[basis[structural]] = tableau[structural, -1]
+    return SimplexResult("optimal", float(c @ x), x, iters)

@@ -37,6 +37,7 @@ __all__ = [
     "restrict_profile",
     "iter_set",
     "set_of",
+    "resolve_index",
     "mask_names",
     "default_candidates",
 ]
@@ -51,6 +52,18 @@ class ProfileParseError(ValueError):
     def __init__(self, message: str, line: int):
         super().__init__(f"line {line}: {message}")
         self.line = line
+
+
+def resolve_index(names: tuple[str, ...], x: int | str, noun: str = "candidate") -> int:
+    """Resolve a point of ``names`` given by index or by name; KeyError if absent."""
+    if isinstance(x, str):
+        try:
+            return names.index(x)
+        except ValueError:
+            raise KeyError(f"unknown {noun} {x!r}") from None
+    if not 0 <= x < len(names):
+        raise KeyError(f"{noun} index {x} out of range")
+    return x
 
 
 @dataclass(frozen=True, init=False)
@@ -132,14 +145,7 @@ class VotingProfile:
 
     def index(self, x: int | str) -> int:
         """Resolve a candidate given by index or by name."""
-        if isinstance(x, str):
-            try:
-                return self.candidates.index(x)
-            except ValueError:
-                raise KeyError(f"unknown candidate {x!r}") from None
-        if not 0 <= x < self.n:
-            raise KeyError(f"candidate index {x} out of range")
-        return x
+        return resolve_index(self.candidates, x)
 
     def rank(self, v: int, x: int | str) -> int:
         """Position of candidate x in voter v's ordering (0 = top)."""

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from mdx.profile import VotingProfile, pairwise_counts
+from mdx.profile import VotingProfile, pairwise_counts, resolve_index
 
 __all__ = [
     "GraphParseError",
@@ -94,14 +94,7 @@ class WeightedTournamentGraph:
         return len(self.names)
 
     def index(self, x: int | str) -> int:
-        if isinstance(x, str):
-            try:
-                return self.names.index(x)
-            except ValueError:
-                raise KeyError(f"unknown candidate {x!r}") from None
-        if not 0 <= x < self.n:
-            raise KeyError(f"candidate index {x} out of range")
-        return x
+        return resolve_index(self.names, x)
 
 
 @dataclass(frozen=True)

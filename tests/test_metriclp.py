@@ -33,7 +33,7 @@ from mdx.metriclp import (
     solve_lp,
     voter_labels,
 )
-from mdx.metriclp import _inequalities  # private: rebuilds the equality-form LP below
+from mdx.metriclp import _inequalities  # private: the rows checked below
 from mdx.metriclp import _parse_cell  # private: compared against Fraction below
 from mdx.profile import parse_profile
 from mdx.rules import optimal_lp_winner
@@ -338,65 +338,71 @@ class TestMaxDistortion:
         assert max_distortion(p, "A") == math.inf
 
 
+def solve(c, a_ub, b_ub):
+    """``solve_lp`` with no equality rows."""
+    return solve_lp(c, a_ub, b_ub, np.zeros((0, len(c))), np.zeros(0))
+
+
+def highs_max(c, a_ub, b_ub):
+    """HiGHS's status and maximum of c.x over x >= 0 with a_ub.x <= b_ub >= 0.
+
+    Presolve calls some unbounded LPs infeasible, so it is off.  Without it
+    HiGHS ends a few unbounded LPs in status 4 (model status unknown); a ray
+    d >= 0 with a_ub.d <= 0, sum(d) <= 1 and c.d > 0 then decides them.
+    """
+    def highs(a, b):
+        return scipy.optimize.linprog(
+            -c, A_ub=a, b_ub=b, bounds=(0, None), method="highs", options={"presolve": False}
+        )
+
+    res = highs(a_ub, b_ub)
+    if res.status == 4:
+        ray = highs(np.vstack([a_ub, np.ones(len(c))]), np.append(np.zeros(len(a_ub)), 1.0))
+        assert ray.status == 0 and -ray.fun > 1e-9, res.message
+        return "unbounded", None
+    status = {0: "optimal", 3: "unbounded"}[res.status]
+    return status, -res.fun if status == "optimal" else None
+
+
 class TestSolver:
     def test_bounded_maximum(self):
-        result = solve_lp(
-            np.array([1.0, 0.0]),
-            a_ub=np.array([[1.0, 1.0]]),
-            b_ub=np.array([1.0]),
-            maximize=True,
-        )
+        result = solve(np.array([1.0, 0.0]), np.array([[1.0, 1.0]]), np.array([1.0]))
         assert result.status == "optimal"
         assert result.value == pytest.approx(1.0)
 
     def test_unbounded(self):
-        result = solve_lp(np.array([1.0]), maximize=True)
+        result = solve(np.array([1.0]), np.zeros((0, 1)), np.zeros(0))
         assert result.status == "unbounded"
 
-    def test_infeasible(self):
-        result = solve_lp(
-            np.array([1.0]),
-            a_ub=np.array([[1.0]]),
-            b_ub=np.array([1.0]),
-            a_eq=np.array([[1.0]]),
-            b_eq=np.array([2.0]),
-        )
-        assert result.status == "infeasible"
+    def test_equality_rows_rejected(self):
+        with pytest.raises(ValueError, match="equality"):
+            solve_lp(np.array([1.0]), np.array([[1.0]]), np.array([1.0]),
+                     np.array([[1.0]]), np.array([2.0]))
 
-    def test_negative_rhs_handled(self):
-        # x0 >= 2 written as -x0 <= -2, minimizing x0.
-        result = solve_lp(
-            np.array([1.0]), a_ub=np.array([[-1.0]]), b_ub=np.array([-2.0])
-        )
-        assert result.status == "optimal" and result.value == pytest.approx(2.0)
+    def test_negative_rhs_rejected(self):
+        # x0 >= 2 written as -x0 <= -2 needs phase 1, which the solver lacks.
+        with pytest.raises(ValueError, match="b_ub"):
+            solve(np.array([-1.0]), np.array([[-1.0]]), np.array([-2.0]))
 
     def test_dense_lps_agree_with_highs(self):
-        # Equality rows and negative b_ub need artificials, so phase 1 runs.
+        # b_ub >= 0 with zeros among them, so some pivots are degenerate.
         rng = np.random.default_rng(15)
         statuses = set()
         for _ in range(300):
-            nv, n_ub, n_eq = rng.integers(1, 6), rng.integers(0, 5), rng.integers(0, 3)
+            nv, n_ub = rng.integers(1, 6), rng.integers(0, 6)
             c = rng.integers(-3, 4, nv).astype(float)
             a_ub = rng.integers(-3, 4, (n_ub, nv)).astype(float)
-            b_ub = rng.integers(-3, 6, n_ub).astype(float)
-            a_eq = rng.integers(-3, 4, (n_eq, nv)).astype(float)
-            b_eq = rng.integers(-3, 4, n_eq).astype(float)
-            sign = -1.0 if rng.integers(2) else 1.0
-            mine = solve_lp(c, a_ub, b_ub, a_eq, b_eq, maximize=sign < 0)
-            # HiGHS's presolve calls some unbounded LPs here infeasible.
-            ref = scipy.optimize.linprog(
-                sign * c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq,
-                bounds=(0, None), method="highs", options={"presolve": False},
-            )
-            status = {0: "optimal", 2: "infeasible", 3: "unbounded"}[ref.status]
+            b_ub = rng.integers(0, 6, n_ub).astype(float)
+            sense = 1.0 if rng.integers(2) else -1.0  # -1: minimise c by maximising -c
+            mine = solve(sense * c, a_ub, b_ub)
+            status, value = highs_max(sense * c, a_ub, b_ub)
             assert mine.status == status
             statuses.add(status)
             if status == "optimal":
-                assert mine.value == pytest.approx(sign * ref.fun, rel=1e-9, abs=1e-9)
+                assert mine.value == pytest.approx(value, rel=1e-9, abs=1e-9)
                 assert (mine.x >= -1e-9).all()
                 assert (a_ub @ mine.x <= b_ub + 1e-9).all()
-                assert a_eq @ mine.x == pytest.approx(b_eq, abs=1e-9)
-        assert statuses == {"optimal", "infeasible", "unbounded"}
+        assert statuses == {"optimal", "unbounded"}
 
 
 @settings(max_examples=150, deadline=None)
@@ -407,9 +413,9 @@ def test_normalisation_row_matches_equality_form(case):
     p, a, b = case
     calls = []
 
-    def recording(*args, **kwargs):
+    def recording(*args):
         calls.append(args)
-        return solve_lp(*args, **kwargs)
+        return solve_lp(*args)
 
     with mock.patch.object(metriclp, "solve_lp", recording):
         mine = pairwise_distortion_lp(p, a, b)
@@ -417,14 +423,17 @@ def test_normalisation_row_matches_equality_form(case):
     for _, a_ub, b_ub, a_eq, b_eq in calls:
         assert a_eq.shape[0] == 0 and b_eq.size == 0
         assert (b_ub >= 0).all()
+        # The last row is the normalisation c_B.x <= 1; the rest read <= 0.
+        _, ct, rows = _inequalities(p.n, tuple(order for order, _ in p.types))
+        c_b = np.zeros(rows.shape[1])
+        c_b[ct[b]] = [count for _, count in p.types]
+        assert np.array_equal(a_ub, np.vstack([rows, c_b]))
+        assert b_ub[-1] == 1.0 and not b_ub[:-1].any()
 
-    _, ct, rows = _inequalities(p.n, tuple(order for order, _ in p.types))
-    objective, c_b = np.zeros(rows.shape[1]), np.zeros((1, rows.shape[1]))
-    objective[ct[a]] = c_b[0, ct[b]] = [count for _, count in p.types]
-    oracle = solve_lp(objective, rows, np.zeros(len(rows)), c_b, np.ones(1), maximize=True)
-    assert mine.status == oracle.status
-    if oracle.status == "optimal":
-        assert mine.value == pytest.approx(oracle.value, rel=1e-12)
+    status, value = reference_lp(p, a, b)
+    assert mine.status == status
+    if status == "optimal":
+        assert mine.value == pytest.approx(value, rel=1e-9)
 
 
 def reference_lp(p, a, b):
@@ -467,6 +476,7 @@ def reference_lp(p, a, b):
         b_eq=np.ones(1),
         bounds=(0, None),
         method="highs",
+        options={"presolve": False},
     )
     if res.status == 3:
         return "unbounded", None

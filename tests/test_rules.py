@@ -320,6 +320,24 @@ class TestOptimalLp:
             assert a_ub.shape == (len(shared) + 1, shared.shape[1])
             assert np.array_equal(a_ub[: len(shared)], shared)
 
+    @pytest.mark.parametrize(
+        "instance, winner, pivots",
+        [(lambda: rotational_profile("ABCDE", 5), "A", 1063), (counterexample_relax2, "C", 712)],
+    )
+    def test_pivot_totals(self, monkeypatch, instance, winner, pivots):
+        # Pinned: a change to the simplex's pivoting must update these on purpose.
+        solve, seen = metriclp.solve_lp, []
+
+        def recording(*args):
+            result = solve(*args)
+            seen.append(result.iterations)
+            return result
+
+        monkeypatch.setattr(metriclp, "solve_lp", recording)
+        p = instance().profile
+        assert p.candidates[optimal_lp_winner(p).winner] == winner
+        assert sum(seen) == pivots
+
     def test_workers_match_serial(self):
         p = parse_profile(THREE_CYCLE)
         serial = optimal_lp_winner(p, workers=1)
