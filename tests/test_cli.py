@@ -502,6 +502,87 @@ class TestInstanceCommand:
         assert report["result"]["set"] == ["D"]
 
 
+FAILURE_INPUTS = {
+    "bad.profile": "A > B\nA > C\n",
+    "bad.graph": "names: A,B\n0 1\n",
+    "bad.metric": ",A,B\nA,0,x\n",
+    "cycle.profile": THREE_CYCLE,
+    "fair.profile": "C > B > A\nB > A > C\n",
+    "fair.metric": ",A,B,C,v1,v2\nA,0,4,4,5,3\nB,4,0,2,1,1\nC,4,2,0,1,3\nv1,5,1,1,0,2\nv2,3,1,3,2,0\n",
+    "same.profile": "A > B > C\nA > B > C\n",
+    "one.profile": "A > B\n",
+    "one.metric": ",A,B,v1\nA,0,2,1\nB,2,0,1\nv1,1,1,0\n",
+    "million.profile": "1000000: A > B\nB > A\n",
+    "nine.profile": "".join(" > ".join("ABCDEFGHI"[i:] + "ABCDEFGHI"[:i]) + "\n" for i in range(9)),
+}
+
+# Every failure path of every subcommand: (argv, MDX_LP_CAP or None, exit
+# code, the whole of stderr).  Inputs are the files above, named relative
+# to the working directory so that stderr is the same on every run.
+FAILURES = {
+    "profile-parse": (["winner", "bad.profile", "--rule", "copeland"], None, 2,
+                      "error: profile 'bad.profile': line 2: unknown candidate 'C'"),
+    "graph-parse": (["tournament", "bad.graph", "--graph"], None, 2,
+                    "error: graph 'bad.graph': line 3: expected 2 matrix rows, found 1"),
+    "metric-parse": (["distortion", "fair.profile", "A", "--metric", "bad.metric"], None, 2,
+                     "error: metric 'bad.metric': line 2: expected 2 data rows, found 1"),
+    "cannot-read": (["winner", "missing.profile", "--rule", "copeland"], None, 2,
+                    "error: cannot read 'missing.profile': [Errno 2] No such file or directory: 'missing.profile'"),
+    "lp-cap-pairwise-lp": (["pairwise-lp", "cycle.profile", "A", "B"], "3", 3,
+                           "error: LP needs 6 points (candidates + ballots), cap is 3"),
+    "lp-cap-winner": (["winner", "cycle.profile", "--rule", "optimal-lp"], "3", 3,
+                      "error: LP needs 6 points (candidates + ballots), cap is 3"),
+    "lp-cap-distortion": (["distortion", "cycle.profile", "A"], "3", 3,
+                          "error: LP needs 6 points (candidates + ballots), cap is 3"),
+    "witness-cap": (["pairwise-lp", "million.profile", "A", "B", "--witness"], None, 3,
+                    "error: witness has 1000003 candidates + voters, cap is 20"),
+    "lp-cap-not-an-integer": (["pairwise-lp", "cycle.profile", "A", "B"], "soup", 2,
+                              "error: MDX_LP_CAP='soup' is not an integer"),
+    "symmetry-limit": (["tournament", "nine.profile", "--check-symmetry"], None, 3,
+                       "error: symmetry search over 9 candidates exceeds the limit of 8"),
+    "inconsistent-metric": (["distortion", "same.profile", "A", "--metric", "fair.metric"], None, 4,
+                            "error: metric is not consistent with the profile"),
+    "k-out-of-range": (["distortion", "one.profile", "A", "--metric", "one.metric", "--k", "5"], None, 2,
+                       "error: k must be in 1..1"),
+    "metric-size": (["distortion", "cycle.profile", "A", "--metric", "fair.metric"], None, 2,
+                    "error: metric has 2 voters, profile has 3"),
+    "verify-sizes": (["verify-conjecture", "1", "3"], None, 2,
+                     "error: need n >= 2 candidates and m >= 1 voters"),
+    "verify-overflow": (["verify-conjecture", "2", str(2**40), "--budget", str(10**30)], None, 2,
+                        "error: 2 candidates and 1099511627776 voters overflow the 64-bit majority tally"),
+    "instance-p-range": (["instance", "lower-left", "--p", "5/4"], None, 2, "error: need 0 < p <= 1"),
+    "instance-p-rational": (["instance", "lower-left", "--p", "x"], None, 2, "error: --p 'x' is not a rational"),
+    "instance-lam-rational": (["instance", "lower-right", "--lam", "1/0"], None, 2,
+                              "error: --lam '1/0' is not a rational"),
+    "instance-base-short": (["instance", "rotational", "--base", "B>A", "--n", "3"], None, 2,
+                            "error: base must be a permutation of the n candidates"),
+    "instance-no-metric": (["instance", "three-cycle", "--metric-out", "x.csv"], None, 2,
+                           "error: instance 'three-cycle' carries no metric"),
+    "bad-lam": (["weighted-set", "cycle.profile", "--lam", "4/3"], None, 2,
+                "error: bad --lam '4/3': rational threshold must lie in [0,1]"),
+    "bad-tau": (["tournament", "cycle.profile", "--tau", "B,C,Z"], None, 2,
+                "error: --tau must list images of A,B,C in order, got 'B,C,Z'"),
+    "witness-with-metric": (["distortion", "fair.profile", "A", "--metric", "fair.metric", "--witness"], None, 2,
+                            "error: --witness is for LP mode, not --metric"),
+    "k-without-metric": (["distortion", "fair.profile", "A", "--k", "1"], None, 2,
+                         "error: --k and --tol need --metric"),
+    "unknown-candidate": (["distortion", "fair.profile", "Z"], None, 2,
+                          "error: candidate 'Z' not in profile ('C', 'B', 'A')"),
+    "unknown-opponent": (["pairwise-lp", "fair.profile", "A", "Z"], None, 2,
+                         "error: candidate 'Z' not in profile ('C', 'B', 'A')"),
+}
+
+
+@pytest.mark.parametrize("argv, cap, code, err", FAILURES.values(), ids=FAILURES)
+def test_failure_exit_code_and_message(capsys, monkeypatch, tmp_path, argv, cap, code, err):
+    for name, text in FAILURE_INPUTS.items():
+        (tmp_path / name).write_text(text)
+    monkeypatch.chdir(tmp_path)
+    if cap is not None:
+        monkeypatch.setenv("MDX_LP_CAP", cap)
+    assert run(capsys, *argv) == (code, "", err + "\n")
+
+
 class TestArgumentErrors:
     def test_missing_subcommand(self, capsys):
         assert main([]) == 2
