@@ -1,15 +1,19 @@
 """Command-line front end emitting JSON reports.
 
-Every subcommand prints one Report object to stdout as one line of compact
+Every subcommand prints one report object to stdout as one line of compact
 JSON: the echoed command name, a digest of the inputs it read, the result
 payload, and the library version.  Exact rationals appear as ``{"num": p, "den": q, "decimal": x}``;
 ``--plain`` switches to a short human-readable summary instead.
 
+Handlers raise and ``main`` decides every exit code from the type of the
+exception that ended the command (``FAILURE_CODES``), printing its message
+as ``error: ...`` on stderr.
+
 Exit codes:
     0  success (including a "verified" verdict and an "unbounded" LP value)
     1  the conjecture verifier found a counterexample
-    2  input could not be parsed (profile, graph, metric, or bad argument)
-    3  rule or capability error (LP size cap, symmetry search cap, unknown rule)
+    2  input could not be parsed or used (profile, graph, metric, bad argument)
+    3  capability error (LP size cap, symmetry search cap)
     4  a supplied metric contradicts the profile
     5  the enumeration budget was exceeded
 
@@ -26,7 +30,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from typing import Any
@@ -39,7 +42,6 @@ from mdx.metriclp import (
     DEFAULT_LP_CAP,
     InconsistentMetricError,
     LpCapError,
-    MetricParseError,
     fairness_ratio_fixed,
     instance_distortion,
     parse_metric,
@@ -47,7 +49,7 @@ from mdx.metriclp import (
     serialize_metric,
 )
 from mdx.profile import (
-    ProfileParseError,
+    ParseError,
     VotingProfile,
     default_candidates,
     iter_set,
@@ -56,7 +58,6 @@ from mdx.profile import (
 )
 from mdx.rules import RULE_IDS, Threshold, apply_rule, weighted_uncovered_set
 from mdx.tournament import (
-    GraphParseError,
     SymmetrySearchError,
     WeightedTournamentGraph,
     build_tournament,
@@ -66,7 +67,7 @@ from mdx.tournament import (
     serialize_graph,
 )
 
-__all__ = ["main", "Report", "EXIT_CODES"]
+__all__ = ["main", "EXIT_CODES"]
 
 EXIT_CODES = {
     "ok": 0,
@@ -78,31 +79,17 @@ EXIT_CODES = {
 }
 
 
-class CliFailure(Exception):
-    """Abort the command with a message and a specific exit code."""
+# The exit code of a failed command, by the type of the exception that
+# ended it; the first matching entry wins.
+FAILURE_CODES = (
+    ((LpCapError, SymmetrySearchError), EXIT_CODES["rule"]),
+    (InconsistentMetricError, EXIT_CODES["inconsistent"]),
+    (ValueError, EXIT_CODES["parse"]),
+)
 
-    def __init__(self, code: int, message: str):
-        super().__init__(message)
-        self.code = code
 
-
-@dataclass(frozen=True)
-class Report:
-    """The JSON document every subcommand prints."""
-
-    command: str
-    inputs: dict
-    result: dict
-    version: str = __version__
-
-    def to_json(self) -> str:
-        payload = {
-            "command": self.command,
-            "inputs": self.inputs,
-            "result": self.result,
-            "version": self.version,
-        }
-        return json.dumps(payload, separators=(",", ":"))
+class CliFailure(ValueError):
+    """A bad argument or input, in the handler's own words; exits 2."""
 
 
 def _rational(fr: Fraction) -> dict:
@@ -131,29 +118,23 @@ def _read_source(path: str) -> tuple[str, dict]:
     try:
         text = sys.stdin.read() if path == "-" else open(path, encoding="utf-8").read()
     except OSError as exc:
-        raise CliFailure(EXIT_CODES["parse"], f"cannot read {path!r}: {exc}") from exc
+        raise CliFailure(f"cannot read {path!r}: {exc}") from exc
     digest = hashlib.sha256(text.encode()).hexdigest()[:16]
     return text, {"path": path, "sha256": digest, "bytes": len(text)}
 
 
-def _load_profile(path: str) -> tuple[VotingProfile, dict]:
+def _load(path: str, parse, noun: str, *args) -> tuple[Any, dict]:
+    """Read ``path`` and parse it; a parse error names the file as a ``noun``.
+
+    Handlers pass the parser at call time, so a wrapper installed on the
+    module global (``mdx.cli.parse_profile``, as bench/tracing.py does) is
+    the one called.
+    """
     text, info = _read_source(path)
     try:
-        return parse_profile(text), info
-    except ProfileParseError as exc:
-        raise CliFailure(
-            EXIT_CODES["parse"], f"profile {path!r}: {exc}"
-        ) from exc
-
-
-def _load_metric(path: str, n_candidates: int):
-    text, info = _read_source(path)
-    try:
-        return parse_metric(text, n_candidates), info
-    except MetricParseError as exc:
-        raise CliFailure(
-            EXIT_CODES["parse"], f"metric {path!r}: {exc}"
-        ) from exc
+        return parse(text, *args), info
+    except ParseError as exc:
+        raise CliFailure(f"{noun} {path!r}: {exc}") from exc
 
 
 def _lp_cap() -> int:
@@ -163,16 +144,14 @@ def _lp_cap() -> int:
     try:
         return int(raw)
     except ValueError as exc:
-        raise CliFailure(EXIT_CODES["parse"], f"MDX_LP_CAP={raw!r} is not an integer") from exc
+        raise CliFailure(f"MDX_LP_CAP={raw!r} is not an integer") from exc
 
 
 def _candidate_index(p: VotingProfile, name: str) -> int:
     try:
         return p.index(name)
     except (KeyError, IndexError) as exc:
-        raise CliFailure(
-            EXIT_CODES["parse"], f"candidate {name!r} not in profile {p.candidates}"
-        ) from exc
+        raise CliFailure(f"candidate {name!r} not in profile {p.candidates}") from exc
 
 
 def _weights_payload(g: WeightedTournamentGraph) -> dict:
@@ -198,22 +177,18 @@ def _fraction_arg(text: str, what: str) -> Fraction:
     try:
         value = Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
-        raise CliFailure(EXIT_CODES["parse"], f"{what} {text!r} is not a rational") from exc
+        raise CliFailure(f"{what} {text!r} is not a rational") from exc
     return value
 
 
 # ---------------------------------------------------------------------------
 # subcommand handlers: each returns (inputs, result, plain_text, exit_code)
+# and leaves a failure's exception to main.
 
 
 def cmd_winner(args) -> tuple[dict, dict, str, int]:
-    p, info = _load_profile(args.profile)
-    try:
-        outcome = apply_rule(args.rule, p, cap=_lp_cap(), workers=args.workers)
-    except LpCapError as exc:
-        raise CliFailure(EXIT_CODES["rule"], str(exc)) from exc
-    except KeyError as exc:
-        raise CliFailure(EXIT_CODES["rule"], str(exc.args[0])) from exc
+    p, info = _load(args.profile, parse_profile, "profile")
+    outcome = apply_rule(args.rule, p, cap=_lp_cap(), workers=args.workers)
     winner = p.candidates[outcome.winner]
     inputs = {"profile": info, "rule": args.rule}
     result = {
@@ -227,29 +202,22 @@ def cmd_winner(args) -> tuple[dict, dict, str, int]:
 
 def cmd_distortion(args) -> tuple[dict, dict, str, int]:
     if args.metric is None and (args.k is not None or args.tol is not None):
-        raise CliFailure(EXIT_CODES["parse"], "--k and --tol need --metric")
+        raise CliFailure("--k and --tol need --metric")
     if args.metric is not None and args.witness:
-        raise CliFailure(EXIT_CODES["parse"], "--witness is for LP mode, not --metric")
-    p, info = _load_profile(args.profile)
+        raise CliFailure("--witness is for LP mode, not --metric")
+    p, info = _load(args.profile, parse_profile, "profile")
     ai = _candidate_index(p, args.candidate)
     inputs: dict = {"profile": info, "candidate": args.candidate}
 
     if args.metric is not None:
-        metric, metric_info = _load_metric(args.metric, p.n)
-        inputs["metric"] = metric_info
-        try:
-            if args.k is not None:
-                inputs["k"] = args.k
-                value = fairness_ratio_fixed(metric, p, args.candidate, args.k, tol=args.tol or 0.0)
-                label = f"fairness ratio (k={args.k})"
-            else:
-                value = instance_distortion(metric, p, args.candidate, tol=args.tol or 0.0)
-                label = "distortion"
-        except InconsistentMetricError as exc:
-            raise CliFailure(EXIT_CODES["inconsistent"], str(exc)) from exc
-        except ValueError as exc:
-            # label/size mismatch between metric and profile
-            raise CliFailure(EXIT_CODES["parse"], str(exc)) from exc
+        metric, inputs["metric"] = _load(args.metric, parse_metric, "metric", p.n)
+        if args.k is not None:
+            inputs["k"] = args.k
+            value = fairness_ratio_fixed(metric, p, args.candidate, args.k, tol=args.tol or 0.0)
+            label = f"fairness ratio (k={args.k})"
+        else:
+            value = instance_distortion(metric, p, args.candidate, tol=args.tol or 0.0)
+            label = "distortion"
         result = {"mode": "fixed-metric", "candidate": args.candidate, "value": _jsonify(value)}
         if args.k is not None:
             result["k"] = args.k
@@ -258,13 +226,10 @@ def cmd_distortion(args) -> tuple[dict, dict, str, int]:
 
     # LP mode: one worst-case LP per opponent.
     cap = _lp_cap()
-    try:
-        lps = {p.candidates[b]: pairwise_distortion_lp(p, ai, b, cap=cap) for b in range(p.n) if b != ai}
-        witnesses = {
-            name: serialize_metric(lp.witness) for name, lp in lps.items() if args.witness and lp.witness
-        }
-    except LpCapError as exc:
-        raise CliFailure(EXIT_CODES["rule"], str(exc)) from exc
+    lps = {p.candidates[b]: pairwise_distortion_lp(p, ai, b, cap=cap) for b in range(p.n) if b != ai}
+    witnesses = {
+        name: serialize_metric(lp.witness) for name, lp in lps.items() if args.witness and lp.witness
+    }
     values = {name: lp.ratio for name, lp in lps.items()}
     worst = max(values.values(), default=1.0)
     result = {
@@ -284,14 +249,11 @@ def cmd_distortion(args) -> tuple[dict, dict, str, int]:
 
 
 def cmd_pairwise_lp(args) -> tuple[dict, dict, str, int]:
-    p, info = _load_profile(args.profile)
+    p, info = _load(args.profile, parse_profile, "profile")
     _candidate_index(p, args.a)
     _candidate_index(p, args.b)
-    try:
-        outcome = pairwise_distortion_lp(p, args.a, args.b, cap=_lp_cap())
-        witness = outcome.witness if args.witness else None
-    except LpCapError as exc:
-        raise CliFailure(EXIT_CODES["rule"], str(exc)) from exc
+    outcome = pairwise_distortion_lp(p, args.a, args.b, cap=_lp_cap())
+    witness = outcome.witness if args.witness else None
     inputs = {"profile": info, "a": args.a, "b": args.b}
     result: dict = {"status": outcome.status, "value": _jsonify(outcome.value)}
     if witness is not None:
@@ -305,16 +267,10 @@ def cmd_pairwise_lp(args) -> tuple[dict, dict, str, int]:
 
 def cmd_tournament(args) -> tuple[dict, dict, str, int]:
     if args.graph:
-        text, info = _read_source(args.source)
-        try:
-            g = parse_graph(text)
-        except GraphParseError as exc:
-            raise CliFailure(
-                EXIT_CODES["parse"], f"graph {args.source!r}: {exc}"
-            ) from exc
+        g, info = _load(args.source, parse_graph, "graph")
         inputs = {"graph": info}
     else:
-        p, info = _load_profile(args.source)
+        p, info = _load(args.source, parse_profile, "profile")
         g = build_tournament(p)
         inputs = {"profile": info}
 
@@ -324,10 +280,7 @@ def cmd_tournament(args) -> tuple[dict, dict, str, int]:
     if args.tau is not None:
         names = args.tau.split(",")
         if sorted(names) != sorted(g.names):
-            raise CliFailure(
-                EXIT_CODES["parse"],
-                f"--tau must list images of {','.join(g.names)} in order, got {args.tau!r}",
-            )
+            raise CliFailure(f"--tau must list images of {','.join(g.names)} in order, got {args.tau!r}")
         tau = tuple(g.index(x) for x in names)
         inputs["tau"] = names
         holds = check_cyclic_symmetry(g, tau)
@@ -336,10 +289,7 @@ def cmd_tournament(args) -> tuple[dict, dict, str, int]:
             result["symmetry"]["cycle"] = _tau_cycle(g, tau)
         plain_lines.append(f"supplied tau {'preserves' if holds else 'breaks'} the weights")
     elif args.check_symmetry:
-        try:
-            witness = find_cyclic_symmetry(g)
-        except SymmetrySearchError as exc:
-            raise CliFailure(EXIT_CODES["rule"], str(exc)) from exc
+        witness = find_cyclic_symmetry(g)
         if witness.found:
             cycle = _tau_cycle(g, witness.tau)
             result["symmetry"] = {"found": True, "cycle": cycle}
@@ -351,7 +301,7 @@ def cmd_tournament(args) -> tuple[dict, dict, str, int]:
 
 
 def cmd_matching_set(args) -> tuple[dict, dict, str, int]:
-    p, info = _load_profile(args.profile)
+    p, info = _load(args.profile, parse_profile, "profile")
     mask = matching_uncovered_set(p)
     members = sorted(p.candidates[c] for c in iter_set(mask))
     inputs = {"profile": info}
@@ -361,11 +311,11 @@ def cmd_matching_set(args) -> tuple[dict, dict, str, int]:
 
 
 def cmd_weighted_set(args) -> tuple[dict, dict, str, int]:
-    p, info = _load_profile(args.profile)
+    p, info = _load(args.profile, parse_profile, "profile")
     try:
         lam = Threshold.parse(args.lam)
     except (ValueError, ZeroDivisionError) as exc:
-        raise CliFailure(EXIT_CODES["parse"], f"bad --lam {args.lam!r}: {exc}") from exc
+        raise CliFailure(f"bad --lam {args.lam!r}: {exc}") from exc
     g = build_tournament(p)
     mask = weighted_uncovered_set(g, lam)
     members = sorted(p.candidates[c] for c in iter_set(mask))
@@ -382,15 +332,12 @@ def cmd_weighted_set(args) -> tuple[dict, dict, str, int]:
 
 
 def cmd_verify_conjecture(args) -> tuple[dict, dict, str, int]:
-    try:
-        verdict = verify_conjecture(
-            args.n,
-            args.m,
-            workers=args.workers,
-            budget=args.budget,
-        )
-    except ValueError as exc:
-        raise CliFailure(EXIT_CODES["parse"], str(exc)) from exc
+    verdict = verify_conjecture(
+        args.n,
+        args.m,
+        workers=args.workers,
+        budget=args.budget,
+    )
     inputs = {"n": args.n, "m": args.m, "workers": args.workers, "budget": args.budget}
     result = {
         "status": verdict.status,
@@ -418,23 +365,24 @@ def cmd_verify_conjecture(args) -> tuple[dict, dict, str, int]:
 
 def cmd_instance(args) -> tuple[dict, dict, str, int]:
     builder = INSTANCE_BUILDERS[args.name]
-    try:
-        if args.name == "rotational":
-            base = args.base.split(">") if args.base else None
-            n = args.n if args.n is not None else (len(base) if base else 3)
-            if base is None:
-                base = list(default_candidates(n))
-            instance = builder(base, n)
-        elif args.name == "lower-left":
-            frac = _fraction_arg(args.p, "--p")
-            instance = builder(frac.numerator, frac.denominator, args.m)
-        elif args.name in ("lower-right", "fairness-table"):
-            frac = _fraction_arg(args.lam, "--lam")
-            instance = builder(frac.numerator, frac.denominator, args.m)
-        else:
-            instance = builder()
-    except ValueError as exc:
-        raise CliFailure(EXIT_CODES["parse"], str(exc)) from exc
+    if args.lam is None:
+        args.lam = "1/2" if args.name == "fairness-table" else "618/1000"
+    if args.m is None:
+        args.m = 2 if args.name == "fairness-table" else 1000
+    if args.name == "rotational":
+        base = [name.strip() for name in args.base.split(">")] if args.base else None
+        n = args.n if args.n is not None else (len(base) if base else 3)
+        if base is None:
+            base = list(default_candidates(n))
+        instance = builder(base, n)
+    elif args.name == "lower-left":
+        frac = _fraction_arg(args.p, "--p")
+        instance = builder(frac.numerator, frac.denominator, args.m)
+    elif args.name in ("lower-right", "fairness-table"):
+        frac = _fraction_arg(args.lam, "--lam")
+        instance = builder(frac.numerator, frac.denominator, args.m)
+    else:
+        instance = builder()
     profile_text = serialize_profile(instance.profile)
     inputs = {
         "name": args.name,
@@ -454,11 +402,12 @@ def cmd_instance(args) -> tuple[dict, dict, str, int]:
     }
     if args.metric_out is not None:
         if instance.metric is None:
-            raise CliFailure(
-                EXIT_CODES["parse"], f"instance {args.name!r} carries no metric"
-            )
-        with open(args.metric_out, "w", encoding="utf-8") as fh:
-            fh.write(serialize_metric(instance.metric))
+            raise CliFailure(f"instance {args.name!r} carries no metric")
+        try:
+            with open(args.metric_out, "w", encoding="utf-8") as fh:
+                fh.write(serialize_metric(instance.metric))
+        except OSError as exc:
+            raise CliFailure(f"cannot write {args.metric_out!r}: {exc}") from exc
     # Plain mode prints the raw profile so the output pipes into the other
     # subcommands unchanged.
     plain = profile_text.rstrip("\n")
@@ -515,8 +464,9 @@ def _build_parser() -> argparse.ArgumentParser:
     t = add("tournament", cmd_tournament, "weighted tournament graph and cyclic symmetry")
     t.add_argument("source", help="profile file (default) or graph file with --graph; - for stdin")
     t.add_argument("--graph", action="store_true", help="treat the input as a weight-matrix file")
-    t.add_argument("--check-symmetry", action="store_true")
-    t.add_argument("--tau", help="comma list: image of each candidate, in candidate order")
+    symmetry = t.add_mutually_exclusive_group()
+    symmetry.add_argument("--check-symmetry", action="store_true")
+    symmetry.add_argument("--tau", help="comma list: image of each candidate, in candidate order")
 
     ms = add("matching-set", cmd_matching_set, "candidates whose cover graphs all have perfect matchings")
     ms.add_argument("profile", help="profile file, or - for stdin")
@@ -542,15 +492,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _instance_defaults(args) -> None:
-    if args.command != "instance":
-        return
-    if args.lam is None:
-        args.lam = "1/2" if args.name == "fairness-table" else "618/1000"
-    if args.m is None:
-        args.m = 2 if args.name == "fairness-table" else 1000
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
@@ -558,17 +499,16 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         # argparse exits 2 on usage errors, matching the parse-error code.
         return int(exc.code or 0)
-    _instance_defaults(args)
     try:
         inputs, result, plain, code = args.handler(args)
-    except CliFailure as failure:
-        print(f"error: {failure}", file=sys.stderr)
-        return failure.code
-    report = Report(command=args.command, inputs=inputs, result=result)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return next(failure for types, failure in FAILURE_CODES if isinstance(exc, types))
     if getattr(args, "plain", False):
         print(plain)
     else:
-        print(report.to_json())
+        report = {"command": args.command, "inputs": inputs, "result": result, "version": __version__}
+        print(json.dumps(report, separators=(",", ":")))
     return code
 
 

@@ -84,6 +84,9 @@ def rotational_profile(base: Sequence[int | str], n: int) -> NamedInstance:
     """
     names = default_candidates(n)
     index = {name: i for i, name in enumerate(names)}
+    unknown = [b for b in base if isinstance(b, str) and b not in index]
+    if unknown:
+        raise ValueError(f"base names unknown candidate {unknown[0]!r}")
     resolved = tuple(index[b] if isinstance(b, str) else int(b) for b in base)
     if sorted(resolved) != list(range(n)):
         raise ValueError("base must be a permutation of the n candidates")

@@ -29,7 +29,7 @@ from itertools import combinations
 
 import numpy as np
 
-from mdx.profile import VotingProfile, resolve_index
+from mdx.profile import ParseError, VotingProfile, resolve_index
 
 __all__ = [
     "DEFAULT_LP_CAP",
@@ -72,12 +72,8 @@ class InconsistentMetricError(ValueError):
     """Metric does not respect the profile's orderings."""
 
 
-class MetricParseError(ValueError):
-    """Malformed metric CSV.  ``line`` is the 1-based offending line."""
-
-    def __init__(self, message: str, line: int):
-        super().__init__(f"line {line}: {message}")
-        self.line = line
+class MetricParseError(ParseError):
+    """Malformed metric CSV."""
 
 
 def voter_labels(m: int) -> tuple[str, ...]:

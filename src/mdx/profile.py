@@ -26,6 +26,7 @@ from functools import cached_property
 from typing import Iterable, Iterator
 
 __all__ = [
+    "ParseError",
     "ProfileParseError",
     "VotingProfile",
     "parse_profile",
@@ -46,12 +47,16 @@ __all__ = [
 _FORBIDDEN_IN_NAMES = set(">:,#")
 
 
-class ProfileParseError(ValueError):
-    """Malformed profile text.  ``line`` is the 1-based offending line."""
+class ParseError(ValueError):
+    """Malformed input text.  ``line`` is the 1-based offending line."""
 
     def __init__(self, message: str, line: int):
         super().__init__(f"line {line}: {message}")
         self.line = line
+
+
+class ProfileParseError(ParseError):
+    """Malformed profile text."""
 
 
 def resolve_index(names: tuple[str, ...], x: int | str, noun: str = "candidate") -> int:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from mdx.profile import VotingProfile, pairwise_counts, resolve_index
+from mdx.profile import ParseError, VotingProfile, pairwise_counts, resolve_index
 
 __all__ = [
     "GraphParseError",
@@ -36,12 +36,8 @@ __all__ = [
 SYMMETRY_SEARCH_LIMIT = 8
 
 
-class GraphParseError(ValueError):
-    """Malformed graph file.  ``line`` is the 1-based offending line."""
-
-    def __init__(self, message: str, line: int):
-        super().__init__(f"line {line}: {message}")
-        self.line = line
+class GraphParseError(ParseError):
+    """Malformed graph file."""
 
 
 class SymmetrySearchError(ValueError):

@@ -312,6 +312,12 @@ class TestTournament:
         assert code == 0
         assert report["result"]["symmetry"]["holds"] is False
 
+    def test_tau_and_check_symmetry_exclude_each_other(self, capsys, profile_file):
+        path = profile_file(THREE_CYCLE)
+        code, out, err = run(capsys, "tournament", path, "--tau", "B,C,A", "--check-symmetry")
+        assert code == 2 and out == ""
+        assert err.endswith("error: argument --check-symmetry: not allowed with argument --tau\n")
+
     def test_bad_tau_is_a_parse_error(self, capsys, profile_file):
         path = profile_file(THREE_CYCLE)
         code, _, err = run(capsys, "tournament", path, "--tau", "B,C,Z")
@@ -472,6 +478,11 @@ class TestInstanceCommand:
         code, report = run_json(capsys, "instance", "rotational", "--n", "5")
         assert code == 0 and report["result"]["name"] == "rotational-5"
 
+    def test_rotational_base_takes_the_profile_spacing(self, capsys):
+        _, spaced = run_json(capsys, "instance", "rotational", "--base", "B > A > C")
+        _, tight = run_json(capsys, "instance", "rotational", "--base", "B>A>C")
+        assert spaced["result"] == tight["result"]
+
     def test_metric_out(self, capsys, tmp_path):
         out_path = tmp_path / "ll.metric"
         code, report = run_json(
@@ -558,6 +569,12 @@ FAILURES = {
                             "error: base must be a permutation of the n candidates"),
     "instance-no-metric": (["instance", "three-cycle", "--metric-out", "x.csv"], None, 2,
                            "error: instance 'three-cycle' carries no metric"),
+    "instance-base-unknown": (["instance", "rotational", "--base", "A>B>Z"], None, 2,
+                              "error: base names unknown candidate 'Z'"),
+    "instance-base-unknown-spaced": (["instance", "rotational", "--base", "A > B > Z"], None, 2,
+                                     "error: base names unknown candidate 'Z'"),
+    "instance-cannot-write": (["instance", "lower-left", "--metric-out", "missing/x.csv"], None, 2,
+                              "error: cannot write 'missing/x.csv': [Errno 2] No such file or directory: 'missing/x.csv'"),
     "bad-lam": (["weighted-set", "cycle.profile", "--lam", "4/3"], None, 2,
                 "error: bad --lam '4/3': rational threshold must lie in [0,1]"),
     "bad-tau": (["tournament", "cycle.profile", "--tau", "B,C,Z"], None, 2,

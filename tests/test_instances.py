@@ -64,7 +64,7 @@ class TestRotational:
             rotational_profile(("A", "A", "B"), 3)
         with pytest.raises(ValueError):
             rotational_profile((0, 1), 3)
-        with pytest.raises(KeyError):
+        with pytest.raises(ValueError, match="unknown candidate 'Z'"):
             rotational_profile(("A", "B", "Z"), 3)
 
 
