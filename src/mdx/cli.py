@@ -442,10 +442,15 @@ def _build_parser() -> argparse.ArgumentParser:
         cmd.set_defaults(handler=handler)
         return cmd
 
+    def workers(text: str) -> int:
+        if int(text) < 1:
+            raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
+        return int(text)
+
     w = add("winner", cmd_winner, "run a voting rule on a profile")
     w.add_argument("profile", help="profile file, or - for stdin")
     w.add_argument("--rule", required=True, choices=RULE_IDS)
-    w.add_argument("--workers", type=int, default=1)
+    w.add_argument("--workers", type=workers, default=1)
 
     d = add("distortion", cmd_distortion, "worst-case or fixed-metric distortion of a candidate")
     d.add_argument("profile", help="profile file, or - for stdin")
@@ -478,7 +483,7 @@ def _build_parser() -> argparse.ArgumentParser:
     vc = add("verify-conjecture", cmd_verify_conjecture, "exhaustively check the cycle condition")
     vc.add_argument("n", type=int)
     vc.add_argument("m", type=int)
-    vc.add_argument("--workers", type=int, default=1)
+    vc.add_argument("--workers", type=workers, default=1)
     vc.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
 
     inst = add("instance", cmd_instance, "emit a named instance (plain mode prints the raw profile)")

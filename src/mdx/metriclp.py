@@ -13,7 +13,8 @@ row, can be shortest paths through candidates, which is how witnesses are
 expanded.  The rows are built once per profile and shared by its ordered
 pairs.  The normalisation is one more <= row (Charnes-Cooper), so every
 right-hand side is >= 0 and the LP starts from the slack basis.  The
-solver is a self-contained one-phase primal simplex from that basis.
+solver is a self-contained one-phase primal simplex from that basis.  The
+LPs against one opponent share a region; ``lps_against`` warm-starts them.
 
 Distances mix candidates and voters in a single space; voters may tie and
 may sit at distance zero from other points (pseudometric).
@@ -48,6 +49,7 @@ __all__ = [
     "instance_distortion",
     "fairness_ratio_fixed",
     "pairwise_distortion_lp",
+    "lps_against",
     "max_distortion",
     "solve_lp",
 ]
@@ -198,6 +200,8 @@ class SimplexResult:
     value: float | None
     x: np.ndarray | None
     iterations: int
+    tableau: np.ndarray | None = field(default=None, repr=False, compare=False)
+    basis: np.ndarray | None = field(default=None, repr=False, compare=False)
 
 
 def parse_metric(text: str, n_candidates: int | None = None) -> Metric:
@@ -293,7 +297,9 @@ def _align(metric: Metric, p: VotingProfile) -> tuple[int, ...]:
 
 
 def check_consistent(metric: Metric, p: VotingProfile, tol: float = 0.0) -> bool:
-    """True iff every voter's distances weakly respect her ordering."""
+    """True iff every voter's distances weakly respect her ordering, up to tol >= 0."""
+    if not 0.0 <= tol < math.inf:
+        raise ValueError(f"tolerance must be finite and >= 0, got {tol}")
     cand = _align(metric, p)
     d = metric.dist
     for v, order in enumerate(p.orderings):
@@ -387,25 +393,32 @@ def pairwise_distortion_lp(
     unbounded: nothing in the profile ties a's distances to b's.
     """
     ai, bi = p.index(a), p.index(b)
-    if ai == bi:
-        return LpOutcome("optimal", 1.0)
-    n, n_types = p.n, len(p.types)
-    if n + n_types > cap:
-        raise LpCapError(f"LP needs {n + n_types} points (candidates + ballots), cap is {cap}")
-    cc, ct, rows = _inequalities(n, tuple(order for order, _ in p.types))
-    nv = rows.shape[1]
-    objective, norm = np.zeros(nv), np.zeros(nv)
-    objective[ct[ai]] = norm[ct[bi]] = [count for _, count in p.types]
-    b_ub = np.append(np.zeros(len(rows)), 1.0)
+    return LpOutcome("optimal", 1.0) if ai == bi else lps_against(p, bi, [ai], cap)[ai]
 
-    # No equality rows; bench/tracing.py reads the a_eq argument's row count.
-    result = solve_lp(objective, np.vstack([rows, norm]), b_ub, np.zeros((0, nv)), np.zeros(0))
-    if result.status == "unbounded":
-        return LpOutcome("unbounded", None)
-    x = np.maximum(result.x, 0.0)
-    reduced = np.hstack([x[cc], x[ct]])
-    np.fill_diagonal(reduced, 0.0)
-    return LpOutcome("optimal", result.value, p, reduced, cap)
+
+def lps_against(p: VotingProfile, b: int, rivals: list[int], cap: int = DEFAULT_LP_CAP) -> dict[int, LpOutcome]:
+    """``pairwise_distortion_lp(p, a, b)`` for each index a != b in rivals, each LP
+    warm-started from the one before: they differ only in their objective."""
+    if not rivals:
+        return {}
+    if p.n + len(p.types) > cap:
+        raise LpCapError(f"LP needs {p.n + len(p.types)} points (candidates + ballots), cap is {cap}")
+    cc, ct, rows = _inequalities(p.n, tuple(order for order, _ in p.types))
+    costs = np.zeros((p.n, rows.shape[1]))  # row c: c's social cost, by variable
+    costs[np.arange(p.n)[:, None], ct] = [count for _, count in p.types]
+    a_ub, b_ub = np.vstack([rows, costs[b]]), np.append(np.zeros(len(rows)), 1.0)
+    outcomes, result = {}, None
+    for a in rivals:
+        # No equality rows; bench/tracing.py reads the a_eq argument's row count.
+        result = solve_lp(costs[a], a_ub, b_ub, np.zeros((0, rows.shape[1])), np.zeros(0), start=result)
+        if result.status == "unbounded":
+            outcomes[a] = LpOutcome("unbounded", None)
+            continue
+        x = np.maximum(result.x, 0.0)
+        reduced = np.hstack([x[cc], x[ct]])
+        np.fill_diagonal(reduced, 0.0)
+        outcomes[a] = LpOutcome("optimal", result.value, p, reduced, cap)
+    return outcomes
 
 
 def max_distortion(p: VotingProfile, a: int | str, cap: int = DEFAULT_LP_CAP) -> float:
@@ -416,7 +429,8 @@ def max_distortion(p: VotingProfile, a: int | str, cap: int = DEFAULT_LP_CAP) ->
 
 
 def solve_lp(
-    c: np.ndarray, a_ub: np.ndarray, b_ub: np.ndarray, a_eq: np.ndarray, b_eq: np.ndarray
+    c: np.ndarray, a_ub: np.ndarray, b_ub: np.ndarray, a_eq: np.ndarray, b_eq: np.ndarray,
+    *, start: SimplexResult | None = None,
 ) -> SimplexResult:
     """Maximise c.x over x >= 0 with a_ub.x <= b_ub: primal simplex from the slack basis.
 
@@ -425,7 +439,8 @@ def solve_lp(
     ValueError.  A pivot updates only the columns where the pivot row is
     nonzero.  Pivoting uses Dantzig's rule, falling back to Bland's rule
     after a run of degenerate pivots so cycling cannot occur.  Raises
-    SolverFailureError past MAX_PIVOTS pivots.
+    SolverFailureError past MAX_PIVOTS pivots.  ``start``, an earlier result
+    on the same a_ub and b_ub, warm-starts from its final, feasible basis.
     """
     c = np.asarray(c, dtype=float)
     a_ub, b_ub = np.asarray(a_ub, dtype=float), np.asarray(b_ub, dtype=float)
@@ -436,14 +451,13 @@ def solve_lp(
     n_rows, nv = a_ub.shape
 
     # Columns: structural vars, one slack per row, then the right-hand side.
-    tableau = np.zeros((n_rows, nv + n_rows + 1))
-    tableau[:, :nv] = a_ub
-    tableau[:, nv:-1] = np.eye(n_rows)
-    tableau[:, -1] = b_ub
-    basis = np.arange(nv, nv + n_rows)
-    # Reduced costs of minimising -c.x; every basic slack costs 0.
-    obj = np.zeros(nv + n_rows + 1)
-    obj[:nv] = -c
+    tableau = np.hstack([a_ub, np.eye(n_rows), b_ub[:, None]]) if start is None else start.tableau.copy()
+    basis = np.arange(nv, nv + n_rows) if start is None else start.basis.copy()
+    if tableau.shape != (n_rows, nv + n_rows + 1):
+        raise ValueError("start does not come from an LP of this shape")
+    # Reduced costs of minimising -c.x; exactly 0 on the basic (unit) columns.
+    obj = np.append(-c, np.zeros(n_rows + 1))
+    obj -= obj[basis] @ tableau
 
     iters = degenerate_run = 0
     bland = False
@@ -461,7 +475,7 @@ def solve_lp(
         col = tableau[:, entering]
         rows = (col > SOLVER_TOL).nonzero()[0]
         if not rows.size:
-            return SimplexResult("unbounded", None, None, iters)
+            return SimplexResult("unbounded", None, None, iters, tableau, basis)
         ratios = tableau[rows, -1] / col[rows]
         best = ratios.min()
         tied = rows[ratios <= best + 1e-12]
@@ -489,4 +503,4 @@ def solve_lp(
     x = np.zeros(nv)
     structural = basis < nv
     x[basis[structural]] = tableau[structural, -1]
-    return SimplexResult("optimal", float(c @ x), x, iters)
+    return SimplexResult("optimal", float(c @ x), x, iters, tableau, basis)

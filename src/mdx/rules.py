@@ -19,7 +19,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from mdx.matching import matching_uncovered_set
-from mdx.metriclp import DEFAULT_LP_CAP, pairwise_distortion_lp
+from mdx.metriclp import DEFAULT_LP_CAP, lps_against
+from mdx.metriclp import pairwise_distortion_lp  # not called here; bench/tracing.py patches this name
 from mdx.profile import VotingProfile, iter_set
 from mdx.tournament import WeightedTournamentGraph, build_tournament
 
@@ -41,7 +42,7 @@ __all__ = [
 
 # optimal-lp treats worst-case values within this of the minimum as tied: the
 # float simplex can split an exact tie in its last digits (rotational n=5
-# gives C 2.999999999999974 and A 2.999999999999978).
+# gives D 2.999999999999999 and E 3.000000000000001).
 LP_TIE_TOL = 1e-9
 
 
@@ -280,22 +281,21 @@ def optimal_lp_winner(
     """argmin over A of max over B of the pairwise distortion LP value.
 
     Values within LP_TIE_TOL of the minimum tie; the alphabetically first
-    tied candidate wins.
+    tied candidate wins.  The LPs are solved per opponent (``lps_against``).
     """
     n = p.n
-    pairs = [(a, b) for a in range(n) for b in range(n) if a != b]
 
-    def value(pair: tuple[int, int]) -> float:
-        return pairwise_distortion_lp(p, pair[0], pair[1], cap=cap).ratio
+    def against(b: int) -> dict:
+        return lps_against(p, b, [a for a in range(n) if a != b], cap)
 
     if workers > 1:
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            values = dict(zip(pairs, pool.map(value, pairs)))
+            columns = list(pool.map(against, range(n)))
     else:
-        values = {pair: value(pair) for pair in pairs}
-    max_value = {a: max((values[(a, b)] for b in range(n) if b != a), default=1.0) for a in range(n)}
+        columns = [against(b) for b in range(n)]
+    max_value = {a: max((columns[b][a].ratio for b in range(n) if b != a), default=1.0) for a in range(n)}
     # An infinite minimum leaves every candidate tied (inf <= inf + tol).
     best = min(max_value.values())
     winner = _alphabetical_min(
@@ -303,7 +303,7 @@ def optimal_lp_winner(
     )
     support = {
         "values": {
-            p.candidates[a]: {p.candidates[b]: values[(a, b)] for b in range(n) if b != a}
+            p.candidates[a]: {p.candidates[b]: columns[b][a].ratio for b in range(n) if b != a}
             for a in range(n)
         },
         "max_values": {p.candidates[a]: max_value[a] for a in range(n)},

@@ -182,7 +182,9 @@ class TestDistortion:
             for name in p.candidates:
                 value = max_distortion(p, name)
                 _, report = run_json(capsys, "distortion", path, name)
-                assert max_values[name] == value
+                # optimal-lp warm-starts each opponent's LPs; max_distortion
+                # solves each cold, so the last digits may differ.
+                assert max_values[name] == pytest.approx(value, rel=1e-12)
                 assert report["result"]["max_distortion"] == ("unbounded" if math.isinf(value) else value)
 
     @pytest.mark.parametrize(
@@ -587,6 +589,28 @@ FAILURES = {
                           "error: candidate 'Z' not in profile ('C', 'B', 'A')"),
     "unknown-opponent": (["pairwise-lp", "fair.profile", "A", "Z"], None, 2,
                          "error: candidate 'Z' not in profile ('C', 'B', 'A')"),
+    # A NaN or infinite tolerance would skip the consistency check, and a
+    # negative one would fail a consistent metric.
+    "tol-nan": (["distortion", "same.profile", "A", "--metric", "fair.metric", "--tol", "nan"], None, 2,
+                "error: tolerance must be finite and >= 0, got nan"),
+    "tol-inf": (["distortion", "same.profile", "A", "--metric", "fair.metric", "--tol", "inf"], None, 2,
+                "error: tolerance must be finite and >= 0, got inf"),
+    "tol-negative": (["distortion", "fair.profile", "A", "--metric", "fair.metric", "--tol", "-1"], None, 2,
+                     "error: tolerance must be finite and >= 0, got -1.0"),
+    # argparse prints the usage first, wrapped at COLUMNS (80 in the test).
+    "workers-zero-winner": (
+        ["winner", "cycle.profile", "--rule", "optimal-lp", "--workers", "0"], None, 2,
+        "usage: mdx winner [-h] [--plain] --rule\n"
+        "                  {copeland,uncovered,ranked-pairs,schulze,weighted-uncovered,matching-uncovered,optimal-lp}\n"
+        "                  [--workers WORKERS]\n"
+        "                  profile\n"
+        "mdx winner: error: argument --workers: must be an integer >= 1, got '0'"),
+    "workers-zero-verify": (
+        ["verify-conjecture", "3", "3", "--workers", "0"], None, 2,
+        "usage: mdx verify-conjecture [-h] [--plain] [--workers WORKERS]\n"
+        "                             [--budget BUDGET]\n"
+        "                             n m\n"
+        "mdx verify-conjecture: error: argument --workers: must be an integer >= 1, got '0'"),
 }
 
 
@@ -595,6 +619,7 @@ def test_failure_exit_code_and_message(capsys, monkeypatch, tmp_path, argv, cap,
     for name, text in FAILURE_INPUTS.items():
         (tmp_path / name).write_text(text)
     monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("COLUMNS", "80")
     if cap is not None:
         monkeypatch.setenv("MDX_LP_CAP", cap)
     assert run(capsys, *argv) == (code, "", err + "\n")

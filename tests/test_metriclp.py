@@ -25,6 +25,7 @@ from mdx.metriclp import (
     check_consistent,
     fairness_ratio_fixed,
     instance_distortion,
+    lps_against,
     max_distortion,
     pairwise_distortion_lp,
     parse_metric,
@@ -405,6 +406,86 @@ class TestSolver:
         assert statuses == {"optimal", "unbounded"}
 
 
+def opponent_lps(p, b):
+    """a_ub and b_ub of every distortion LP against b, and each candidate's objective row."""
+    _, ct, rows = _inequalities(p.n, tuple(order for order, _ in p.types))
+    costs = np.zeros((p.n, rows.shape[1]))
+    for c in range(p.n):
+        costs[c, ct[c]] = [count for _, count in p.types]
+    return np.vstack([rows, costs[b]]), np.append(np.zeros(len(rows)), 1.0), costs
+
+
+class TestWarmStart:
+    @staticmethod
+    def check_chain(objectives, a_ub, b_ub):
+        """Solve each objective from the previous result; compare a cold solve and HiGHS."""
+        result, statuses = None, []
+        for c in objectives:
+            result = solve_lp(c, a_ub, b_ub, np.zeros((0, len(c))), np.zeros(0), start=result)
+            cold = solve(c, a_ub, b_ub)
+            status, value = highs_max(c, a_ub, b_ub)
+            assert result.status == cold.status == status
+            if status == "optimal":
+                assert result.value == pytest.approx(cold.value, rel=1e-12, abs=1e-12)
+                assert result.value == pytest.approx(value, rel=1e-12, abs=1e-12)
+                assert (a_ub @ result.x <= b_ub + 1e-9).all()
+            statuses.append(status)
+        return statuses
+
+    def test_unbounded_then_optimal(self):
+        # Against B, C's LP is unbounded (every voter ranks B above C) and
+        # leaves its basis for A's, which is optimal.
+        p = parse_profile("A > B > C\n2: B > A > C\n")
+        a_ub, b_ub, costs = opponent_lps(p, 1)
+        assert self.check_chain([costs[2], costs[0], costs[2], costs[0]], a_ub, b_ub) == [
+            "unbounded", "optimal", "unbounded", "optimal"]
+
+    def test_every_objective_of_one_opponent(self):
+        rng = random.Random(25)
+        statuses = set()
+        for _ in range(40):
+            p = random_profile(rng, max_n=5, max_m=6, min_n=3)
+            b = rng.randrange(p.n)
+            a_ub, b_ub, costs = opponent_lps(p, b)
+            rivals = [a for a in range(p.n) if a != b]
+            rng.shuffle(rivals)
+            statuses.update(self.check_chain(costs[rivals], a_ub, b_ub))
+        assert statuses == {"optimal", "unbounded"}
+
+    def test_dense_chains(self):
+        # Random objectives over one random region, degenerate pivots included.
+        rng = np.random.default_rng(25)
+        statuses = set()
+        for _ in range(60):
+            nv, n_ub = rng.integers(1, 6), rng.integers(0, 6)
+            a_ub = rng.integers(-3, 4, (n_ub, nv)).astype(float)
+            b_ub = rng.integers(0, 6, n_ub).astype(float)
+            statuses.update(self.check_chain(rng.integers(-3, 4, (4, nv)).astype(float), a_ub, b_ub))
+        assert statuses == {"optimal", "unbounded"}
+
+    def test_start_of_another_shape_rejected(self):
+        start = solve(np.array([1.0, 0.0]), np.array([[1.0, 1.0]]), np.array([1.0]))
+        with pytest.raises(ValueError, match="start"):
+            solve_lp(np.array([1.0]), np.array([[1.0]]), np.array([1.0]),
+                     np.zeros((0, 1)), np.zeros(0), start=start)
+
+    def test_start_is_left_unchanged(self):
+        a_ub, b_ub = np.array([[1.0, 1.0], [1.0, -1.0]]), np.array([2.0, 1.0])
+        first = solve(np.array([1.0, 0.0]), a_ub, b_ub)
+        tableau, basis = first.tableau.copy(), first.basis.copy()
+        second = solve_lp(np.array([0.0, 1.0]), a_ub, b_ub, np.zeros((0, 2)), np.zeros(0), start=first)
+        assert second.status == "optimal" and second.value == pytest.approx(2.0)
+        assert np.array_equal(first.tableau, tableau) and np.array_equal(first.basis, basis)
+
+    def test_lps_against_matches_pairwise(self):
+        p = parse_profile(THREE_CYCLE)
+        outcomes = lps_against(p, 0, [2, 1])
+        assert list(outcomes) == [2, 1]
+        for a, out in outcomes.items():
+            assert out.value == pytest.approx(pairwise_distortion_lp(p, a, 0).value, rel=1e-12)
+        assert lps_against(p, 0, []) == {}
+
+
 @settings(max_examples=150, deadline=None)
 @given(clone_heavy_cases())
 def test_normalisation_row_matches_equality_form(case):
@@ -413,9 +494,9 @@ def test_normalisation_row_matches_equality_form(case):
     p, a, b = case
     calls = []
 
-    def recording(*args):
+    def recording(*args, **kwargs):
         calls.append(args)
-        return solve_lp(*args)
+        return solve_lp(*args, **kwargs)
 
     with mock.patch.object(metriclp, "solve_lp", recording):
         mine = pairwise_distortion_lp(p, a, b)

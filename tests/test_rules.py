@@ -10,9 +10,10 @@ from hypothesis import given, settings
 from conftest import profiles, random_profile, strict_condorcet_winner
 from mdx import metriclp
 from mdx.instances import counterexample_relax2, lower_left, rotational_profile
-from mdx.metriclp import LpOutcome
-from mdx.profile import VotingProfile, mask_names, parse_profile
+from mdx.metriclp import LpOutcome, pairwise_distortion_lp
+from mdx.profile import VotingProfile, mask_names, parse_profile, serialize_profile
 from mdx.rules import (
+    LP_TIE_TOL,
     RULE_IDS,
     Threshold,
     apply_rule,
@@ -297,7 +298,7 @@ class TestOptimalLp:
     def test_infinite_minimum_ties_everyone(self, monkeypatch):
         # Unpatched, B wins: its value is 1 and A's is unbounded.
         unbounded = LpOutcome("unbounded", None, None)
-        monkeypatch.setattr("mdx.rules.pairwise_distortion_lp", lambda *a, **k: unbounded)
+        monkeypatch.setattr("mdx.rules.lps_against", lambda p, b, rivals, cap: dict.fromkeys(rivals, unbounded))
         p = parse_profile("B > A")
         assert p.candidates[optimal_lp_winner(p).winner] == "A"
 
@@ -322,14 +323,15 @@ class TestOptimalLp:
 
     @pytest.mark.parametrize(
         "instance, winner, pivots",
-        [(lambda: rotational_profile("ABCDE", 5), "A", 1063), (counterexample_relax2, "C", 712)],
+        [(lambda: rotational_profile("ABCDE", 5), "A", 337), (counterexample_relax2, "C", 310)],
     )
     def test_pivot_totals(self, monkeypatch, instance, winner, pivots):
-        # Pinned: a change to the simplex's pivoting must update these on purpose.
+        # Pinned: a change to the simplex's pivoting or to the warm start of
+        # each opponent's LPs must update these on purpose.
         solve, seen = metriclp.solve_lp, []
 
-        def recording(*args):
-            result = solve(*args)
+        def recording(*args, **kwargs):
+            result = solve(*args, **kwargs)
             seen.append(result.iterations)
             return result
 
@@ -338,12 +340,37 @@ class TestOptimalLp:
         assert p.candidates[optimal_lp_winner(p).winner] == winner
         assert sum(seen) == pivots
 
-    def test_workers_match_serial(self):
-        p = parse_profile(THREE_CYCLE)
+    @pytest.mark.parametrize(
+        "text",
+        [THREE_CYCLE, serialize_profile(rotational_profile("ABCDE", 5).profile), "A > B > C\nA > C > B\n"],
+        ids=["three-cycle", "rotational-5", "unbounded-pair"],
+    )
+    def test_workers_match_serial(self, text):
+        # Each thread task chains one opponent's LPs, as the serial loop does.
+        p = parse_profile(text)
         serial = optimal_lp_winner(p, workers=1)
         threaded = optimal_lp_winner(p, workers=2)
         assert serial.winner == threaded.winner
-        assert serial.support["max_values"] == pytest.approx(threaded.support["max_values"])
+        assert serial.support == threaded.support
+
+    def test_matches_cold_pairwise_lps(self):
+        # Every warm-started LP against the cold one-pair LP on random profiles.
+        rng = random.Random(25)
+        statuses = set()
+        for _ in range(200):
+            p = random_profile(rng, max_n=5, max_m=6, min_n=3)
+            out = optimal_lp_winner(p)
+            cold = {a: {b: pairwise_distortion_lp(p, a, b) for b in range(p.n) if b != a} for a in range(p.n)}
+            for a, row in cold.items():
+                for b, lp in row.items():
+                    warm = out.support["values"][p.candidates[a]][p.candidates[b]]
+                    statuses.add(lp.status)
+                    assert warm == pytest.approx(lp.ratio, rel=1e-12)
+            worst = {a: max(lp.ratio for lp in row.values()) for a, row in cold.items()}
+            best = min(worst.values())
+            tied = [a for a in worst if worst[a] <= best + LP_TIE_TOL]
+            assert out.winner == min(tied, key=lambda a: p.candidates[a])
+        assert statuses == {"optimal", "unbounded"}
 
 
 class TestApplyRule:
