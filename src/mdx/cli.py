@@ -17,9 +17,9 @@ Exit codes:
     4  a supplied metric contradicts the profile
     5  the enumeration budget was exceeded
 
-The environment variable ``MDX_LP_CAP`` overrides the default cap on the
-number of points (candidates + distinct ballots) a distortion LP may use,
-and on candidates + voters for an LP witness metric.
+The environment variable ``MDX_LP_CAP`` (an integer >= 1) overrides the
+default cap on the number of points (candidates + distinct ballots) a
+distortion LP may use, and on candidates + voters for an LP witness metric.
 """
 
 from __future__ import annotations
@@ -142,9 +142,12 @@ def _lp_cap() -> int:
     if raw is None:
         return DEFAULT_LP_CAP
     try:
-        return int(raw)
+        cap = int(raw)
     except ValueError as exc:
         raise CliFailure(f"MDX_LP_CAP={raw!r} is not an integer") from exc
+    if cap < 1:
+        raise CliFailure(f"MDX_LP_CAP={raw!r} must be at least 1")
+    return cap
 
 
 def _candidate_index(p: VotingProfile, name: str) -> int:

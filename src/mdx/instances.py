@@ -32,7 +32,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class NamedInstance:
-    """A profile with an optional consistent metric and explanatory notes."""
+    """A profile with an optional consistent metric and explanatory notes.
+
+    The metric has passed Metric's own checks, the triangle inequality
+    included; here it is also checked against the profile.
+    """
 
     name: str
     profile: VotingProfile
@@ -187,17 +191,8 @@ def fairness_table(lam_num: int, lam_den: int, scale_m: int) -> NamedInstance:
     k2 = scale_m - k1
     candidates = ("A", "B", "C")
     p = _profile_from_rows(candidates, [("C>B>A", k1), ("B>A>C", k2)])
-    types = [3] * k1 + [4] * k2
-    size = 3 + scale_m
-    dist = np.zeros((size, size))
-    for i in range(size):
-        ti = i if i < 3 else types[i - 3]
-        for j in range(size):
-            tj = j if j < 3 else types[j - 3]
-            if i >= 3 and j >= 3 and ti == tj:
-                continue
-            dist[i, j] = _FAIRNESS_TABLE[ti, tj]
-    metric = Metric(candidates + voter_labels(scale_m), 3, dist)
+    rows = [0, 1, 2] + [3] * k1 + [4] * k2
+    metric = Metric(candidates + voter_labels(scale_m), 3, _FAIRNESS_TABLE[np.ix_(rows, rows)])
     return NamedInstance(
         "fairness-table",
         p,

@@ -58,8 +58,6 @@ DEFAULT_LP_CAP = 20
 SOLVER_TOL = 1e-9
 MAX_PIVOTS = 1_000_000
 TRIANGLE_TOL = 1e-9
-# Full triangle validation is cubic; skip it at construction for big metrics.
-TRIANGLE_CHECK_LIMIT = 48
 
 
 class LpCapError(ValueError):
@@ -87,11 +85,9 @@ class Metric:
     """A (pseudo)metric on candidates followed by voters.
 
     labels: point names, the first ``n_candidates`` of which are candidates.
-    dist: symmetric nonnegative float matrix with zero diagonal.  The
-    triangle inequality is validated at construction up to
-    TRIANGLE_CHECK_LIMIT points (beyond that, call :meth:`check_triangles`
-    explicitly, as :func:`parse_metric` does; the line-embedding instance
-    builders are safe by construction).
+    dist: symmetric nonnegative float matrix with zero diagonal.  Every
+    metric is validated at construction, the triangle inequality included;
+    that check is cubic in the number of distinct points (distinct rows).
     """
 
     labels: tuple[str, ...]
@@ -116,8 +112,10 @@ class Metric:
             raise ValueError("distance matrix must be symmetric")
         arr.setflags(write=False)
         object.__setattr__(self, "dist", arr)
-        if self.n_points <= TRIANGLE_CHECK_LIMIT:
-            self.check_triangles()
+        bad = self.triangle_violation()
+        if bad is not None:
+            i, j, k = (self.labels[x] for x in bad)
+            raise ValueError(f"triangle inequality fails: d({i},{j}) > d(.,{k}) sum")
 
     @property
     def n_points(self) -> int:
@@ -131,29 +129,29 @@ class Metric:
         return resolve_index(self.labels, x, "point")
 
     def triangle_violation(self, tol: float = TRIANGLE_TOL) -> tuple[int, int, int] | None:
-        """Worst triple violating d(i,j) <= d(i,k) + d(k,j) + tol, or None."""
-        d = self.dist
+        """Worst triple violating d(i,j) <= d(i,k) + d(k,j) + tol, or None.
+
+        Only the first of each set of byte-identical rows is scanned.  Such
+        points are at distance 0, so every triangle through a repeat equals
+        one through its first occurrence, and the first maximum found is
+        the one a scan of every point finds.
+        """
+        first: dict[bytes, int] = {}
+        for r, row in enumerate(self.dist):
+            first.setdefault(row.tobytes(), r)
+        keep = list(first.values())
+        d = self.dist[np.ix_(keep, keep)]
         worst = None
         worst_gap = tol
         gap = np.empty_like(d)
-        for k in range(self.n_points):
+        for k in range(len(keep)):
             np.add.outer(d[:, k], d[k, :], out=gap)
             np.subtract(d, gap, out=gap)
             ij = np.unravel_index(np.argmax(gap), gap.shape)
             if gap[ij] > worst_gap:
                 worst_gap = gap[ij]
-                worst = (int(ij[0]), int(ij[1]), k)
+                worst = (keep[ij[0]], keep[ij[1]], keep[k])
         return worst
-
-    def check_triangles(self) -> None:
-        """Raise ValueError naming the worst triangle-inequality violation."""
-        bad = self.triangle_violation(TRIANGLE_TOL)
-        if bad is not None:
-            i, j, k = bad
-            raise ValueError(
-                f"triangle inequality fails: d({self.labels[i]},{self.labels[j]})"
-                f" > d(.,{self.labels[k]}) sum"
-            )
 
 
 @dataclass(frozen=True)
@@ -209,7 +207,9 @@ def parse_metric(text: str, n_candidates: int | None = None) -> Metric:
 
     Entries are rationals ``p/q`` or decimals.  When ``n_candidates`` is not
     given it is inferred from the first label that looks like a voter
-    (``v1``, ``v2``, ...).
+    (``v1``, ``v2``, ...).  A matrix that :class:`Metric` rejects (for
+    instance, one that breaks the triangle inequality) raises
+    MetricParseError at the header line.
     """
     rows: list[list[str]] = []
     line_nos: list[int] = []
@@ -244,12 +244,9 @@ def parse_metric(text: str, n_candidates: int | None = None) -> Metric:
         voterish = [lab.startswith("v") and lab[1:].isdigit() for lab in labels]
         n_candidates = voterish.index(True) if any(voterish) else size
     try:
-        metric = Metric(labels, n_candidates, dist)
-        if metric.n_points > TRIANGLE_CHECK_LIMIT:
-            metric.check_triangles()
+        return Metric(labels, n_candidates, dist)
     except ValueError as exc:
         raise MetricParseError(str(exc), line_nos[0]) from None
-    return metric
 
 
 def _parse_cell(cell: str) -> float:

@@ -218,9 +218,10 @@ class TestDistortion:
         assert code == 2 and "Z" in err
 
     @pytest.mark.parametrize("d_ab, code", [(3, 0), (100, 2)])
-    def test_metric_above_construction_check_limit(self, capsys, profile_file, d_ab, code):
-        # 2 candidates + 48 voters = 50 points, past the size up to which
-        # Metric itself checks triangles; d(A,v) + d(v,B) = 3 for every voter.
+    def test_parsed_metric_with_repeated_voters(self, capsys, profile_file, d_ab, code):
+        # 2 candidates + 48 identical voters = 50 points, 3 distinct rows;
+        # d(A,v) + d(v,B) = 3 for every voter, so d(A,B) = 100 breaks the
+        # triangle inequality and d(A,B) = 3 does not.
         m = 48
         labels = ["A", "B"] + [f"v{i}" for i in range(1, m + 1)]
         dist = {("A", "B"): d_ab}
@@ -551,6 +552,8 @@ FAILURES = {
                     "error: witness has 1000003 candidates + voters, cap is 20"),
     "lp-cap-not-an-integer": (["pairwise-lp", "cycle.profile", "A", "B"], "soup", 2,
                               "error: MDX_LP_CAP='soup' is not an integer"),
+    "lp-cap-below-one": (["pairwise-lp", "cycle.profile", "A", "B"], "0", 2,
+                         "error: MDX_LP_CAP='0' must be at least 1"),
     "symmetry-limit": (["tournament", "nine.profile", "--check-symmetry"], None, 3,
                        "error: symmetry search over 9 candidates exceeds the limit of 8"),
     "inconsistent-metric": (["distortion", "same.profile", "A", "--metric", "fair.metric"], None, 4,

@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 import struct
 from fractions import Fraction
 from unittest import mock
@@ -89,6 +90,82 @@ class TestMetricValidation:
 
     def test_voter_labels(self):
         assert voter_labels(3) == ("v1", "v2", "v3")
+
+    def test_large_built_metric_checked(self):
+        # 2 candidates + 48 voters on a line, one voter-voter distance stretched.
+        positions = [0.0, 10.0] + [0.2 * i for i in range(48)]
+        dist = np.abs(np.subtract.outer(positions, positions))
+        dist[5, 9] = dist[9, 5] = 9.0
+        i, j, k = full_triangle_scan(dist, metriclp.TRIANGLE_TOL)
+        labels = ("A", "B") + voter_labels(48)
+        message = f"triangle inequality fails: d({labels[i]},{labels[j]}) > d(.,{labels[k]}) sum"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            Metric(labels, 2, dist)
+
+    def test_parsed_metric_checked_once(self):
+        text = serialize_metric(lower_left(382, 1000, 60).metric)
+        with mock.patch.object(Metric, "triangle_violation", autospec=True,
+                               side_effect=Metric.triangle_violation) as scan:
+            parse_metric(text)
+        assert scan.call_count == 1
+
+
+def full_triangle_scan(d, tol):
+    """Metric.triangle_violation without the duplicate-row shortcut: every k."""
+    worst = None
+    worst_gap = tol
+    gap = np.empty_like(d)
+    for k in range(len(d)):
+        np.add.outer(d[:, k], d[k, :], out=gap)
+        np.subtract(d, gap, out=gap)
+        ij = np.unravel_index(np.argmax(gap), gap.shape)
+        if gap[ij] > worst_gap:
+            worst_gap = gap[ij]
+            worst = (int(ij[0]), int(ij[1]), k)
+    return worst
+
+
+def unchecked(dist):
+    """A Metric holding ``dist`` whose construction-time checks never ran."""
+    metric = object.__new__(Metric)
+    object.__setattr__(metric, "labels", voter_labels(len(dist)))
+    object.__setattr__(metric, "n_candidates", 0)
+    object.__setattr__(metric, "dist", np.asarray(dist, dtype=float))
+    return metric
+
+
+def repeated_point_metrics(count):
+    """Seeded small-integer L1 matrices on repeated points, half of them
+    with one stretched distance; exact ties are common."""
+    rng = np.random.default_rng(2026)
+    for _ in range(count):
+        q = int(rng.integers(1, 8))
+        coords = rng.integers(0, 4, size=(q, 2))
+        base = np.abs(coords[:, None, :] - coords[None, :, :]).sum(axis=2).astype(float)
+        if q > 1 and rng.random() < 0.5:
+            a, b = rng.choice(q, size=2, replace=False)
+            base[a, b] = base[b, a] = base[a, b] + int(rng.integers(1, 6))
+        points = rng.integers(0, q, size=int(rng.integers(1, 30)))
+        yield base[np.ix_(points, points)]
+
+
+class TestTriangleScanMatchesFullScan:
+    # A negative tolerance makes every triple with gap 0 a "violation", so
+    # the scans must also agree on which of many tied triples comes first.
+    @pytest.mark.parametrize("tol", [metriclp.TRIANGLE_TOL, -1.0])
+    def test_seeded_repeated_points(self, tol):
+        found = 0
+        for dist in repeated_point_metrics(1500):
+            expected = full_triangle_scan(dist, tol)
+            assert unchecked(dist).triangle_violation(tol) == expected
+            found += expected is not None
+        assert found > 100
+
+    @pytest.mark.parametrize("build", [lower_left, lower_right])
+    def test_line_instances_with_1000_voters(self, build):
+        metric = build(382, 1000, 1000).metric
+        assert metric.triangle_violation() is None
+        assert metric.triangle_violation(-1.0) == full_triangle_scan(metric.dist, -1.0)
 
 
 class TestMetricFiles:
