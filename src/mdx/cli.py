@@ -387,14 +387,9 @@ def cmd_instance(args) -> tuple[dict, dict, str, int]:
     else:
         instance = builder()
     profile_text = serialize_profile(instance.profile)
-    inputs = {
-        "name": args.name,
-        "params": {
-            k: v
-            for k, v in (("p", args.p), ("lam", args.lam), ("m", args.m), ("base", args.base), ("n", args.n))
-            if v is not None
-        },
-    }
+    reads = {"rotational": "base n", "lower-left": "p m", "lower-right": "lam m", "fairness-table": "lam m"}
+    params = {k: getattr(args, k) for k in reads.get(args.name, "").split() if getattr(args, k) is not None}
+    inputs = {"name": args.name, "params": params}
     result = {
         "name": instance.name,
         "n": instance.profile.n,

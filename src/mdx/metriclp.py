@@ -13,8 +13,9 @@ row, can be shortest paths through candidates, which is how witnesses are
 expanded.  The rows are built once per profile and shared by its ordered
 pairs.  The normalisation is one more <= row (Charnes-Cooper), so every
 right-hand side is >= 0 and the LP starts from the slack basis.  The
-solver is a self-contained one-phase primal simplex from that basis.  The
-LPs against one opponent share a region; ``lps_against`` warm-starts them.
+solver is a self-contained one-phase primal simplex from that basis, on a
+variable-major tableau.  The LPs against one opponent share a region;
+``lps_against`` warm-starts them.
 
 Distances mix candidates and voters in a single space; voters may tie and
 may sit at distance zero from other points (pseudometric).
@@ -194,6 +195,8 @@ class LpOutcome:
 
 @dataclass(frozen=True)
 class SimplexResult:
+    """One ``solve_lp`` run; ``tableau`` (variable-major, see ``solve_lp``) and ``basis`` are its last."""
+
     status: str  # optimal | unbounded
     value: float | None
     x: np.ndarray | None
@@ -433,11 +436,12 @@ def solve_lp(
 
     Every b_ub must be >= 0, so the slack basis is feasible and no phase 1
     is needed; ``a_eq`` and ``b_eq`` must have no rows.  Other input raises
-    ValueError.  A pivot updates only the columns where the pivot row is
-    nonzero.  Pivoting uses Dantzig's rule, falling back to Bland's rule
-    after a run of degenerate pivots so cycling cannot occur.  Raises
-    SolverFailureError past MAX_PIVOTS pivots.  ``start``, an earlier result
-    on the same a_ub and b_ub, warm-starts from its final, feasible basis.
+    ValueError.  The tableau is variable-major (row j holds column j, the
+    objective's entry last); a pivot updates only the rows of the columns
+    where the pivot row is nonzero.  Pivoting uses Dantzig's rule, falling
+    back to Bland's rule after a run of degenerate pivots so cycling cannot
+    occur.  Raises SolverFailureError past MAX_PIVOTS.  ``start``, an earlier
+    result on the same a_ub and b_ub, warm-starts from its final basis.
     """
     c = np.asarray(c, dtype=float)
     a_ub, b_ub = np.asarray(a_ub, dtype=float), np.asarray(b_ub, dtype=float)
@@ -447,19 +451,24 @@ def solve_lp(
         raise ValueError("solve_lp needs b_ub >= 0")
     n_rows, nv = a_ub.shape
 
-    # Columns: structural vars, one slack per row, then the right-hand side.
-    tableau = np.hstack([a_ub, np.eye(n_rows), b_ub[:, None]]) if start is None else start.tableau.copy()
-    basis = np.arange(nv, nv + n_rows) if start is None else start.basis.copy()
-    if tableau.shape != (n_rows, nv + n_rows + 1):
+    if start is not None and start.tableau.shape != (nv + n_rows + 1, n_rows + 1):
         raise ValueError("start does not come from an LP of this shape")
     # Reduced costs of minimising -c.x; exactly 0 on the basic (unit) columns.
     obj = np.append(-c, np.zeros(n_rows + 1))
-    obj -= obj[basis] @ tableau
+    if start is None:
+        cols, basis = np.zeros((nv + n_rows + 1, n_rows + 1)), np.arange(nv, nv + n_rows)
+        cols[:nv, :-1], cols[-1, :-1], cols[basis, np.arange(n_rows)] = a_ub.T, b_ub, 1.0
+    else:
+        # Over a row-major copy, so BLAS sums in the order the golden LP reports pin;
+        # made before the tableau copy, which then reuses its freed memory.
+        obj -= obj[start.basis] @ np.ascontiguousarray(start.tableau[:, :-1].T)
+        cols, basis = start.tableau.copy(), start.basis.copy()
+    cols[:, -1] = obj
 
     iters = degenerate_run = 0
     bland = False
     while True:
-        reduced = obj[:-1]
+        reduced = cols[:-1, -1]
         if bland:
             improving = (reduced < -SOLVER_TOL).nonzero()[0]
             if not improving.size:
@@ -469,14 +478,14 @@ def solve_lp(
             entering = int(reduced.argmin())
             if reduced[entering] >= -SOLVER_TOL:
                 break
-        col = tableau[:, entering]
-        rows = (col > SOLVER_TOL).nonzero()[0]
+        col = cols[entering]
+        rows = (col > SOLVER_TOL).nonzero()[0]  # col[-1], its reduced cost, is < -tol: never a row
         if not rows.size:
-            return SimplexResult("unbounded", None, None, iters, tableau, basis)
-        ratios = tableau[rows, -1] / col[rows]
-        best = ratios.min()
+            return SimplexResult("unbounded", None, None, iters, cols, basis)
+        ratios = cols[-1, rows] / col[rows]
+        best = ratios[ratios.argmin()]
         tied = rows[ratios <= best + 1e-12]
-        leaving = int(tied[basis[tied].argmin()])
+        leaving = int(tied[0] if tied.size == 1 else tied[basis[tied].argmin()])
         if iters >= MAX_PIVOTS:
             raise SolverFailureError(f"simplex exceeded {MAX_PIVOTS} iterations")
         iters += 1
@@ -487,17 +496,16 @@ def solve_lp(
         else:
             degenerate_run = 0
             bland = False
-        # Pivot on (leaving, entering); only the row's nonzero columns change.
-        row = tableau[leaving]
+        # Pivot on (leaving, entering); only the rows of columns where the pivot row is nonzero change.
+        row = cols[:, leaving]
         row /= row[entering]
         nz = row.nonzero()[0]
         col_vals = col.copy()
         col_vals[leaving] = 0.0
-        tableau[:, nz] -= np.outer(col_vals, row[nz])
+        cols[nz] -= row[nz][:, None] * col_vals
         basis[leaving] = entering
-        obj[nz] -= obj[entering] * row[nz]
 
     x = np.zeros(nv)
     structural = basis < nv
-    x[basis[structural]] = tableau[structural, -1]
-    return SimplexResult("optimal", float(c @ x), x, iters, tableau, basis)
+    x[basis[structural]] = cols[-1, :-1][structural]
+    return SimplexResult("optimal", float(c @ x), x, iters, cols, basis)

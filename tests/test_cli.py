@@ -12,7 +12,7 @@ import mdx
 from conftest import random_profile
 from mdx.cli import EXIT_CODES, main
 from mdx.conjecture import Verdict, count_canonical
-from mdx.instances import INSTANCE_BUILDERS, counterexample_relax2, three_cycle
+from mdx.instances import INSTANCE_BUILDERS, counterexample_relax1, counterexample_relax2, three_cycle
 from mdx.metriclp import max_distortion, parse_metric
 from mdx.profile import parse_profile, serialize_profile
 from mdx.rules import optimal_lp_winner
@@ -371,6 +371,21 @@ GOLDEN_COMMANDS = [
     ("tournament", "-", "--check-symmetry"),
 ]
 
+GOLDEN_PROFILES = {
+    "counterexample-relax1": lambda: serialize_profile(counterexample_relax1().profile),
+    "counterexample-relax2": lambda: serialize_profile(counterexample_relax2().profile),
+    "clones7": lambda: CLONES7,
+}
+
+# Float LP values, last bits included; the witness only where candidates +
+# voters (4 + 5) fit under the cap.
+GOLDEN_LP_CASES = [
+    ("counterexample-relax1", ("pairwise-lp", "-", "A", "B", "--witness")),
+    *((name, argv) for name in ("counterexample-relax2", "clones7") for argv in [("pairwise-lp", "-", "A", "B")]),
+    *((name, argv) for name in GOLDEN_PROFILES
+      for argv in [("distortion", "-", "A"), ("winner", "-", "--rule", "optimal-lp")]),
+]
+
 
 def _golden_reports() -> dict[str, str]:
     lines = (Path(__file__).parent / "golden_reports.txt").read_text().splitlines()
@@ -379,13 +394,21 @@ def _golden_reports() -> dict[str, str]:
 
 class TestGoldenReports:
     """Reports pinned byte for byte: tournament weights, Copeland scores,
-    ranked-pairs trails and Schulze strengths print as they always have."""
+    ranked-pairs trails, Schulze strengths, and LP values and witnesses to
+    their last bit, print as they always have."""
 
     @pytest.mark.parametrize("argv", GOLDEN_COMMANDS, ids=" ".join)
     @pytest.mark.parametrize("name", ["counterexample-relax2", "clones7"])
     def test_report_is_byte_identical(self, capsys, monkeypatch, name, argv):
-        text = CLONES7 if name == "clones7" else serialize_profile(counterexample_relax2().profile)
-        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        self.check(capsys, monkeypatch, name, argv)
+
+    @pytest.mark.parametrize("name, argv", GOLDEN_LP_CASES, ids=[f"{n}: {' '.join(a)}" for n, a in GOLDEN_LP_CASES])
+    def test_lp_report_is_byte_identical(self, capsys, monkeypatch, name, argv):
+        self.check(capsys, monkeypatch, name, argv)
+
+    @staticmethod
+    def check(capsys, monkeypatch, name, argv):
+        monkeypatch.setattr("sys.stdin", io.StringIO(GOLDEN_PROFILES[name]()))
         code, out, err = run(capsys, *argv)
         assert code == 0 and err == ""
         assert out == _golden_reports()[f"{name}: {' '.join(argv)}"] + "\n"
@@ -485,6 +508,18 @@ class TestInstanceCommand:
         _, spaced = run_json(capsys, "instance", "rotational", "--base", "B > A > C")
         _, tight = run_json(capsys, "instance", "rotational", "--base", "B>A>C")
         assert spaced["result"] == tight["result"]
+
+    @pytest.mark.parametrize("name", sorted(INSTANCE_BUILDERS))
+    def test_params_echo_only_what_the_builder_reads(self, capsys, name):
+        given = {"p": "1/3", "lam": "2/5", "m": 6, "base": "B>A>C", "n": 3}
+        reads = {"rotational": ("base", "n"), "lower-left": ("p", "m"),
+                 "lower-right": ("lam", "m"), "fairness-table": ("lam", "m")}
+        flags = [arg for k, v in given.items() for arg in (f"--{k}", str(v))]
+        code, report = run_json(capsys, "instance", name, *flags)
+        assert code == 0
+        assert report["inputs"]["params"] == {k: given[k] for k in reads.get(name, ())}
+        _, report = run_json(capsys, "instance", name)
+        assert set(report["inputs"]["params"]) <= set(reads.get(name, ()))
 
     def test_metric_out(self, capsys, tmp_path):
         out_path = tmp_path / "ll.metric"

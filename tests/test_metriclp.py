@@ -463,17 +463,10 @@ class TestSolver:
             solve(np.array([-1.0]), np.array([[-1.0]]), np.array([-2.0]))
 
     def test_dense_lps_agree_with_highs(self):
-        # b_ub >= 0 with zeros among them, so some pivots are degenerate.
-        rng = np.random.default_rng(15)
         statuses = set()
-        for _ in range(300):
-            nv, n_ub = rng.integers(1, 6), rng.integers(0, 6)
-            c = rng.integers(-3, 4, nv).astype(float)
-            a_ub = rng.integers(-3, 4, (n_ub, nv)).astype(float)
-            b_ub = rng.integers(0, 6, n_ub).astype(float)
-            sense = 1.0 if rng.integers(2) else -1.0  # -1: minimise c by maximising -c
-            mine = solve(sense * c, a_ub, b_ub)
-            status, value = highs_max(sense * c, a_ub, b_ub)
+        for c, a_ub, b_ub in dense_lps():
+            mine = solve(c, a_ub, b_ub)
+            status, value = highs_max(c, a_ub, b_ub)
             assert mine.status == status
             statuses.add(status)
             if status == "optimal":
@@ -481,6 +474,19 @@ class TestSolver:
                 assert (mine.x >= -1e-9).all()
                 assert (a_ub @ mine.x <= b_ub + 1e-9).all()
         assert statuses == {"optimal", "unbounded"}
+
+
+def dense_lps(count=300):
+    """Seeded dense LPs (c, a_ub, b_ub); b_ub >= 0 with zeros among them, so
+    some pivots are degenerate."""
+    rng = np.random.default_rng(15)
+    for _ in range(count):
+        nv, n_ub = rng.integers(1, 6), rng.integers(0, 6)
+        c = rng.integers(-3, 4, nv).astype(float)
+        a_ub = rng.integers(-3, 4, (n_ub, nv)).astype(float)
+        b_ub = rng.integers(0, 6, n_ub).astype(float)
+        sense = 1.0 if rng.integers(2) else -1.0  # -1: minimise c by maximising -c
+        yield sense * c, a_ub, b_ub
 
 
 def opponent_lps(p, b):
@@ -561,6 +567,107 @@ class TestWarmStart:
         for a, out in outcomes.items():
             assert out.value == pytest.approx(pairwise_distortion_lp(p, a, 0).value, rel=1e-12)
         assert lps_against(p, 0, []) == {}
+
+
+def row_major_solve_lp(c, a_ub, b_ub, start=None):
+    """``solve_lp`` on a row-major tableau, one row per constraint with the
+    objective row apart: the layout before the variable-major one, kept as
+    the oracle of its pivots.  ``start`` must come from this function."""
+    n_rows, nv = a_ub.shape
+    tableau = np.hstack([a_ub, np.eye(n_rows), b_ub[:, None]]) if start is None else start.tableau.copy()
+    basis = np.arange(nv, nv + n_rows) if start is None else start.basis.copy()
+    obj = np.append(-c, np.zeros(n_rows + 1))
+    obj -= obj[basis] @ tableau
+
+    iters = degenerate_run = 0
+    bland = False
+    while True:
+        reduced = obj[:-1]
+        if bland:
+            improving = (reduced < -metriclp.SOLVER_TOL).nonzero()[0]
+            if not improving.size:
+                break
+            entering = int(improving[0])
+        else:
+            entering = int(reduced.argmin())
+            if reduced[entering] >= -metriclp.SOLVER_TOL:
+                break
+        col = tableau[:, entering]
+        rows = (col > metriclp.SOLVER_TOL).nonzero()[0]
+        if not rows.size:
+            return metriclp.SimplexResult("unbounded", None, None, iters, tableau, basis)
+        ratios = tableau[rows, -1] / col[rows]
+        best = ratios.min()
+        tied = rows[ratios <= best + 1e-12]
+        leaving = int(tied[basis[tied].argmin()])
+        iters += 1
+        if best <= metriclp.SOLVER_TOL:
+            degenerate_run += 1
+            if degenerate_run > 50:
+                bland = True
+        else:
+            degenerate_run = 0
+            bland = False
+        row = tableau[leaving]
+        row /= row[entering]
+        nz = row.nonzero()[0]
+        col_vals = col.copy()
+        col_vals[leaving] = 0.0
+        tableau[:, nz] -= np.outer(col_vals, row[nz])
+        basis[leaving] = entering
+        obj[nz] -= obj[entering] * row[nz]
+
+    x = np.zeros(nv)
+    structural = basis < nv
+    x[basis[structural]] = tableau[structural, -1]
+    return metriclp.SimplexResult("optimal", float(c @ x), x, iters, tableau, basis)
+
+
+class TestRowMajorOracle:
+    """The variable-major tableau pivots exactly as the row-major one did:
+    same status, pivot count, basis, value bits and x bytes."""
+
+    @staticmethod
+    def check_chain(objectives, a_ub, b_ub):
+        """Solve each objective warm from the one before, on both solvers."""
+        mine = ref = None
+        statuses = set()
+        for c in objectives:
+            mine = solve_lp(c, a_ub, b_ub, np.zeros((0, len(c))), np.zeros(0), start=mine)
+            ref = row_major_solve_lp(c, a_ub, b_ub, start=ref)
+            assert (mine.status, mine.iterations) == (ref.status, ref.iterations)
+            assert mine.basis.tobytes() == ref.basis.tobytes()
+            if ref.status == "optimal":
+                assert struct.pack("<d", mine.value) == struct.pack("<d", ref.value)
+                assert mine.x.tobytes() == ref.x.tobytes()
+            statuses.add(ref.status)
+        return statuses
+
+    @settings(max_examples=150, deadline=None)
+    @given(clone_heavy_cases())
+    def test_clone_heavy_distortion_lps(self, case):
+        # a cold, then every other rival of b warm.
+        p, a, b = case
+        a_ub, b_ub, costs = opponent_lps(p, b)
+        self.check_chain(costs[[a] + [r for r in range(p.n) if r not in (a, b)]], a_ub, b_ub)
+
+    def test_warm_chains_over_every_objective(self):
+        rng = random.Random(28)
+        statuses = set()
+        for _ in range(40):
+            p = random_profile(rng, max_n=5, max_m=7, min_n=3)
+            for b in range(p.n):
+                a_ub, b_ub, costs = opponent_lps(p, b)
+                rivals = [a for a in range(p.n) if a != b]
+                rng.shuffle(rivals)
+                statuses |= self.check_chain(costs[rivals + rivals[:1]], a_ub, b_ub)
+        assert statuses == {"optimal", "unbounded"}
+
+    def test_dense_lps(self):
+        statuses = set()
+        for c, a_ub, b_ub in dense_lps():
+            statuses |= self.check_chain([c, -c, c], a_ub, b_ub)
+        assert statuses == {"optimal", "unbounded"}
 
 
 @settings(max_examples=150, deadline=None)
