@@ -7,10 +7,10 @@ B is liked at most as much as A by v'.  A perfect matching in G(A,B)
 certifies that electing A costs at most three times the social cost of B on
 every metric consistent with the profile.
 
-The graph keeps one vertex per voter, but its rows are built per ballot run:
-voters with equal P_v(B) share a row and voters with equal Q_v'(A) share a
-column, so the build never expands the profile's counts.  Hopcroft-Karp
-(1973) then finds a maximum matching with bitmask frontiers.
+The graph keeps one vertex per voter, but its rows are ORs of voter masks
+from the profile's ``cover_table``, one per distinct P_v(B), so no build
+expands the profile's counts.  Hopcroft-Karp (1973), seeded fewest
+neighbours first, then finds a maximum matching with bitmask frontiers.
 
 ``matching_uncovered_set`` decides each pair one way: a weak voter majority
 for A over B forces a perfect matching through self-loops, and every other
@@ -26,7 +26,7 @@ from fractions import Fraction
 from functools import reduce
 from operator import or_
 
-from mdx.profile import VotingProfile, iter_set, pairwise_counts, set_of
+from mdx.profile import VotingProfile, iter_set, pairwise_counts
 from mdx.tournament import WeightedTournamentGraph
 from mdx.tournament import build_tournament  # not called here; bench/tracing.py patches this name
 
@@ -112,56 +112,57 @@ class IntervalDifference:
 
 
 def build_cover_graph(p: VotingProfile, a: int | str, b: int | str) -> BipartiteCoverGraph:
-    """Construct G(a, b) from the profile's runs, never expanding voters.
+    """Construct G(a, b) from the profile's cover table, never expanding voters.
 
-    A left voter's row depends only on P_v(b) and a right voter's column only
-    on Q_v'(a), so one pass over the runs collects the voter bits of each
-    distinct Q; each distinct P then gets one row, the OR of the columns whose
-    Q meets it.  Cost: O(runs + |P|*|Q|) big-int ORs, not m^2 pair tests.
+    A left voter's row depends only on P_v(b): it is the OR, over c in
+    P_v(b), of the voters ranking c at or below a.  ``p.cover_table`` holds
+    those voter masks and each run's index into b's distinct P-sets, so a
+    pair costs at most n ORs per distinct P-set and one row list per run.
     """
     ai, bi = p.index(a), p.index(b)
     if ai == bi:
         raise ValueError("cover graph needs two distinct candidates")
-    columns: dict[int, int] = {}
-    run_tops = []
-    offset = 0
-    for order, count in p.runs:
-        q = set_of(order[order.index(ai):])
-        columns[q] = columns.get(q, 0) | ((1 << count) - 1) << offset
-        run_tops.append((set_of(order[: order.index(bi) + 1]), count))
-        offset += count
-    row_of: dict[int, int] = {}
+    below, tops = p.cover_table
+    columns, (sets, index) = below[ai], tops[bi]
+    row_of = [reduce(or_, [columns[c] for c in top]) for top in sets]
     rows: list[int] = []
-    for top, count in run_tops:
-        if top not in row_of:
-            row_of[top] = reduce(or_, (cols for q, cols in columns.items() if q & top), 0)
-        rows += [row_of[top]] * count
+    for (_, count), i in zip(p.runs, index):
+        rows += [row_of[i]] * count
     return BipartiteCoverGraph(p.m, tuple(rows), ai, bi)
 
 
 def max_matching(g: BipartiteCoverGraph) -> MatchingResult:
     """Maximum bipartite matching via Hopcroft-Karp on bitmask adjacency.
 
-    Each phase's BFS records layers[k], the right vertices first reached from
-    left layer k, so it expands every right vertex once; the DFS, iterative
-    with an explicit stack, takes each right vertex at most once per phase.
+    The greedy seed visits groups of identical rows fewest neighbours first
+    (ties first seen); each vertex takes the lowest right vertex still free
+    in its row, read off one bit-string scan per group rather than m-bit
+    operations per vertex.  On cover graphs the seed is usually maximum.
+    Each phase's BFS records layers[k], the right vertices first reached
+    from left layer k, so it expands every right vertex once; the DFS,
+    iterative with an explicit stack, takes each right vertex at most once
+    per phase.
     """
-    m = g.m
-    rows = g.rows
+    m, rows = g.m, g.rows
     match_l = [-1] * m
     match_r = [-1] * m
-    size = 0
 
-    # Greedy seed: match every left vertex to a free neighbor if possible.
+    groups: dict[int, list[int]] = {}
+    last = None
+    for v, row in enumerate(rows):
+        if row is not last:  # clones share one row object: hash it once per run
+            group, last = groups.setdefault(row, []), row
+        group.append(v)
     free_r = (1 << m) - 1
-    for v in range(m):
-        avail = rows[v] & free_r
-        if avail:
-            r = (avail & -avail).bit_length() - 1
+    for row in sorted(groups, key=int.bit_count):
+        avail = row & free_r
+        bits, r = bin(avail)[:1:-1], -1
+        for v in groups[row][: avail.bit_count()]:
+            r = bits.find("1", r + 1)
             match_l[v] = r
             match_r[r] = v
-            free_r ^= 1 << r
-            size += 1
+        free_r ^= avail & ((1 << (r + 1)) - 1)
+    size = m - match_l.count(-1)
 
     while size < m:
         frontier = free_l = [v for v in range(m) if match_l[v] < 0]

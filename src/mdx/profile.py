@@ -140,6 +140,25 @@ class VotingProfile:
             counts[order] += count
         return tuple(counts.items())
 
+    @cached_property
+    def cover_table(self) -> tuple[tuple[tuple[int, ...], ...], tuple]:
+        """Cover-graph table, one pass over the runs on first use: ``below[a][c]``
+        masks the voters ranking c at or below a; ``tops[b]`` holds b's distinct
+        sets P_v(b), first seen first, and each run's index into them."""
+        n, offset = self.n, 0
+        below = [[0] * n for _ in range(n)]
+        seen, index = [{} for _ in range(n)], [[] for _ in range(n)]
+        for order, count in self.runs:
+            bits, top = ((1 << count) - 1) << offset, 0
+            offset += count
+            for i, b in enumerate(order):
+                top |= 1 << b
+                index[b].append(seen[b].setdefault(top, len(seen[b])))
+                for c in order[i:]:
+                    below[b][c] |= bits
+        tops = tuple((tuple(tuple(iter_set(s)) for s in sets), tuple(ix)) for sets, ix in zip(seen, index))
+        return tuple(map(tuple, below)), tops
+
     @property
     def n(self) -> int:
         return len(self.candidates)

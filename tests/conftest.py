@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import random
 import string
+from functools import cached_property
 
 import numpy as np
+import pytest
 from hypothesis import strategies as st
 
 from mdx.metriclp import Metric, voter_labels
@@ -55,6 +57,36 @@ def clone_heavy_cases(draw, size: int = 12):
         room -= count
     a, b = draw(st.permutations(range(n)))[:2]
     return VotingProfile(candidate_names(n), runs=runs), a, b
+
+
+@st.composite
+def repeated_ballot_profiles(draw, max_n: int = 6):
+    """A runs-built profile over 2..max_n candidates whose runs draw from a
+    pool of two to six ballots, the first of which comes back in a later,
+    non-adjacent run (the second pool ballot always sits in between)."""
+    n = draw(st.integers(2, max_n))
+    pool = draw(st.lists(st.permutations(range(n)), min_size=2, max_size=6, unique_by=tuple))
+    middle = draw(st.lists(st.sampled_from(pool), max_size=4))
+    orders = [pool[0], pool[1], *middle, pool[0]]
+    runs = [(tuple(order), draw(st.integers(1, 4))) for order in orders]
+    return VotingProfile(candidate_names(n), runs=runs)
+
+
+@pytest.fixture
+def cover_tables(monkeypatch):
+    """The profiles whose ``cover_table`` gets computed, one entry per
+    computation."""
+    built = []
+    compute = VotingProfile.cover_table.func
+
+    def counting(p):
+        built.append(p)
+        return compute(p)
+
+    prop = cached_property(counting)
+    prop.__set_name__(VotingProfile, "cover_table")
+    monkeypatch.setattr(VotingProfile, "cover_table", prop)
+    return built
 
 
 def strict_condorcet_winner(p: VotingProfile) -> int | None:

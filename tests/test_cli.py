@@ -386,6 +386,12 @@ GOLDEN_LP_CASES = [
       for argv in [("distortion", "-", "A"), ("winner", "-", "--rule", "optimal-lp")]),
 ]
 
+# Matching sets and matching-uncovered winners, on every fixture.
+GOLDEN_MATCHING_CASES = [
+    (name, argv) for name in GOLDEN_PROFILES
+    for argv in [("matching-set", "-"), ("winner", "-", "--rule", "matching-uncovered")]
+]
+
 
 def _golden_reports() -> dict[str, str]:
     lines = (Path(__file__).parent / "golden_reports.txt").read_text().splitlines()
@@ -394,8 +400,8 @@ def _golden_reports() -> dict[str, str]:
 
 class TestGoldenReports:
     """Reports pinned byte for byte: tournament weights, Copeland scores,
-    ranked-pairs trails, Schulze strengths, and LP values and witnesses to
-    their last bit, print as they always have."""
+    ranked-pairs trails, Schulze strengths, matching sets, and LP values and
+    witnesses to their last bit, print as they always have."""
 
     @pytest.mark.parametrize("argv", GOLDEN_COMMANDS, ids=" ".join)
     @pytest.mark.parametrize("name", ["counterexample-relax2", "clones7"])
@@ -406,12 +412,36 @@ class TestGoldenReports:
     def test_lp_report_is_byte_identical(self, capsys, monkeypatch, name, argv):
         self.check(capsys, monkeypatch, name, argv)
 
+    @pytest.mark.parametrize("name, argv", GOLDEN_MATCHING_CASES, ids=[f"{n}: {' '.join(a)}" for n, a in GOLDEN_MATCHING_CASES])
+    def test_matching_report_is_byte_identical(self, capsys, monkeypatch, name, argv):
+        self.check(capsys, monkeypatch, name, argv)
+
     @staticmethod
     def check(capsys, monkeypatch, name, argv):
         monkeypatch.setattr("sys.stdin", io.StringIO(GOLDEN_PROFILES[name]()))
         code, out, err = run(capsys, *argv)
         assert code == 0 and err == ""
         assert out == _golden_reports()[f"{name}: {' '.join(argv)}"] + "\n"
+
+
+COVER_TABLE_USERS = [
+    (("winner", "--rule", "copeland"), 0),
+    (("tournament",), 0),
+    (("weighted-set",), 0),
+    (("distortion", "A"), 0),
+    (("matching-set",), 1),
+    (("winner", "--rule", "matching-uncovered"), 1),
+]
+
+
+@pytest.mark.parametrize("argv, tables", COVER_TABLE_USERS, ids=[" ".join(a) for a, _ in COVER_TABLE_USERS])
+def test_only_matching_commands_compute_the_cover_table(capsys, profile_file, cover_tables, argv, tables):
+    # The elect and lp paths pay nothing for the table; a matching command
+    # computes it once, however many cover graphs it builds.
+    path = profile_file(serialize_profile(counterexample_relax2().profile))
+    code, _ = run_json(capsys, argv[0], path, *argv[1:])
+    assert code == 0
+    assert len(cover_tables) == tables
 
 
 class TestSetCommands:

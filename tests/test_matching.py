@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import maximum_bipartite_matching
 
-from conftest import clone_heavy_cases, profiles, random_profile
+from conftest import clone_heavy_cases, profiles, random_profile, repeated_ballot_profiles
 from mdx.instances import (
     counterexample_relax1,
     counterexample_relax2,
@@ -33,6 +33,7 @@ from mdx.matching import (
     subtract_intervals,
 )
 from mdx.profile import (
+    VotingProfile,
     iter_set,
     mask_names,
     pairwise_counts,
@@ -136,6 +137,21 @@ class TestCoverGraph:
         assert max_matching(g).perfect
         assert "orderings" not in vars(p)
 
+    @settings(max_examples=40, deadline=None)
+    @given(repeated_ballot_profiles())
+    def test_warm_table_builds_match_fresh_builds_and_definition(self, p):
+        # One profile object serves every ordered pair from its cached table.
+        voters = VotingProfile(p.candidates, runs=p.runs)  # expands orderings
+        for a, b in itertools.permutations(range(p.n), 2):
+            g = build_cover_graph(p, a, b)
+            assert g == build_cover_graph(VotingProfile(p.candidates, runs=p.runs), a, b)
+            lefts = [prefer_at_least(voters, v, b) for v in range(p.m)]
+            rights = [prefer_at_most(voters, v, a) for v in range(p.m)]
+            assert g.rows == tuple(
+                sum(1 << vp for vp in range(p.m) if lefts[v] & rights[vp]) for v in range(p.m)
+            )
+        assert "orderings" not in vars(p)
+
 
 class TestMatchingAlgorithms:
     def test_unanimous_reverse_graph_has_no_edges(self):
@@ -210,10 +226,13 @@ class TestMatchingAlgorithms:
             assert all(g.has_edge(v, r) for v, r in pairs)
 
     def test_long_augmenting_path(self):
-        # Greedy seeding leaves the last left vertex free, and its only
-        # augmenting path runs through every vertex.
+        # Every row has two neighbours, so the seed takes them in voter
+        # order: left v gets right v for v < m - 1, and the last left vertex,
+        # row {0, 2}, stays free.  Its only augmenting paths run along the
+        # chain of rows {v, v + 1} to the free right vertex m - 1, through
+        # about m vertices.
         m = 3000
-        g = BipartiteCoverGraph(m, tuple(0b11 << v for v in range(m - 1)) + (1,), 0, 1)
+        g = BipartiteCoverGraph(m, tuple(0b11 << v for v in range(m - 1)) + (0b101,), 0, 1)
         result = max_matching(g)
         assert result.perfect
         assert is_perfect_matching(g, result.pairs())
@@ -401,6 +420,14 @@ class TestMatchingUncoveredSet:
         p = counterexample_relax2().profile
         assert set(mask_names(p, matching_uncovered_set(p))) == {"C", "D"}
         assert len(calls) == 1
+
+    def test_cover_table_computed_once_per_profile(self, cover_tables):
+        p = counterexample_relax2().profile
+        assert set(mask_names(p, matching_uncovered_set(p))) == {"C", "D"}
+        assert set(mask_names(p, matching_uncovered_set(p))) == {"C", "D"}
+        q = counterexample_relax1().profile
+        assert mask_names(q, matching_uncovered_set(q)) == ("D",)
+        assert cover_tables == [p, q]
 
     @settings(max_examples=50, deadline=None)
     @given(profiles(max_n=4, max_m=5, min_n=2))
